@@ -76,8 +76,9 @@ func Eval(rd *store.Reader, aq *Query, opt Options) (*Partial, query.Stats, erro
 		return evalParallel(segs, aq, opt, stats)
 	}
 	p := NewPartial(aq.Spec)
+	var line trace.Line
 	for _, rs := range segs {
-		if err := foldSegment(p, rs, aq, &stats); err != nil {
+		if err := foldSegment(p, rs, aq, &stats, &line); err != nil {
 			return nil, stats, err
 		}
 	}
@@ -103,12 +104,13 @@ func evalParallel(segs []*store.ReaderSegment, aq *Query, opt Options, stats que
 			defer wg.Done()
 			p := NewPartial(aq.Spec)
 			parts[w] = p
+			var line trace.Line
 			for {
 				i := int(cursor.Add(1)) - 1
 				if i >= len(segs) {
 					return
 				}
-				if err := foldSegment(p, segs[i], aq, &statsv[w]); err != nil {
+				if err := foldSegment(p, segs[i], aq, &statsv[w], &line); err != nil {
 					errs[w] = err
 					return
 				}
@@ -143,10 +145,12 @@ func evalParallel(segs []*store.ReaderSegment, aq *Query, opt Options, stats que
 	return merged, stats, nil
 }
 
-// foldSegment parses one segment and folds its matching records into
-// the partial. A torn unsealed tail is tolerated, as everywhere else;
-// corruption of a sealed segment is fatal.
-func foldSegment(p *Partial, rs *store.ReaderSegment, aq *Query, stats *query.Stats) error {
+// foldSegment scans one segment and folds its matching records into
+// the partial. Rules, group keys and the folded field all read the
+// record in place through line, so no record is materialized. A torn
+// unsealed tail is tolerated, as everywhere else; corruption of a
+// sealed segment is fatal.
+func foldSegment(p *Partial, rs *store.ReaderSegment, aq *Query, stats *query.Stats, line *trace.Line) error {
 	stats.Scanned++
 	sketch := aq.Spec.Fn.NeedsSketch()
 	maxGroups := aq.Spec.maxGroups()
@@ -155,27 +159,25 @@ func foldSegment(p *Partial, rs *store.ReaderSegment, aq *Query, stats *query.St
 		admit = nil
 	}
 	d := store.AcquireDecoder()
-	st, err := rs.Scan(d, admit, func(m store.Meta, line []byte) {
-		ev, perr := trace.ParseOne(line)
-		if perr != nil {
+	st, err := rs.Scan(d, admit, func(m store.Meta, b []byte) {
+		if line.Parse(b) != nil {
 			stats.BadLines++
 			return
 		}
-		ok, _ := aq.Sel.Match(&ev)
-		if !ok {
+		if ok, _ := aq.Sel.Match(line); !ok {
 			return
 		}
 		stats.Matched++
 		p.Records++
-		p.noteTime(uint64(ev.CPUTime))
-		key, ok := aq.Spec.keyOf(&ev)
+		p.noteTime(uint64(line.CPUTime))
+		key, ok := aq.Spec.keyOf(line)
 		if !ok {
 			p.Skipped++
 			return
 		}
 		v := uint64(1)
 		if aq.Spec.Fn.NeedsField() {
-			fv, ok := fieldOf(&ev, aq.Spec.Field)
+			fv, ok := line.Field(aq.Spec.Field)
 			if !ok {
 				p.Skipped++
 				return
@@ -197,36 +199,20 @@ func foldSegment(p *Partial, rs *store.ReaderSegment, aq *Query, stats *query.St
 }
 
 // keyOf computes the record's group key, false when a group-by field
-// is absent from the record.
-func (s *Spec) keyOf(ev *trace.Event) (GroupKey, bool) {
+// is absent from the record. Fields resolve as in rule evaluation,
+// header fields first.
+func (s *Spec) keyOf(l *trace.Line) (GroupKey, bool) {
 	var key GroupKey
 	if s.WindowMS > 0 {
-		t := uint64(ev.CPUTime)
+		t := uint64(l.CPUTime)
 		key.Window = t - t%uint64(s.WindowMS)
 	}
 	for i, f := range s.By {
-		v, ok := fieldOf(ev, f)
+		v, ok := l.Field(f)
 		if !ok {
 			return key, false
 		}
 		key.Vals[i] = v
 	}
 	return key, true
-}
-
-// fieldOf resolves a record field by name, header fields first —
-// the same resolution order the query engine's rule evaluation uses.
-func fieldOf(e *trace.Event, name string) (uint64, bool) {
-	switch name {
-	case "machine":
-		return uint64(e.Machine), true
-	case "cpuTime":
-		return uint64(e.CPUTime), true
-	case "procTime":
-		return uint64(e.ProcTime), true
-	case "type", "traceType":
-		return uint64(e.Type), true
-	}
-	v, ok := e.Fields[name]
-	return v, ok
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dpm/internal/store"
+	"dpm/internal/trace"
 )
 
 // TestParallelMemoryRatio gates the parallel scan's memory behavior:
@@ -56,5 +57,42 @@ func TestParallelMemoryRatio(t *testing.T) {
 	if ratio := float64(par) / float64(seq); ratio > 1.3 {
 		t.Fatalf("workers=2 allocates %d bytes/op vs %d sequential (%.2fx), want <= 1.3x",
 			par, seq, ratio)
+	}
+}
+
+// TestQueryRejectNoAlloc gates the selection tier's scan path: rules
+// evaluate on the scanned line in place, so a segment whose records
+// are all rejected is scanned without a single allocation once the
+// scanner and the pooled decoder are warm.
+func TestQueryRejectNoAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-mode sync.Pool drops Puts; allocation gate runs in the non-race pass")
+	}
+	be, _ := buildStore(t, 400, store.Config{
+		Shards: 1, SegmentCap: 1 << 20, BlockTarget: 1 << 20, Compress: store.CompressBlocks,
+	})
+	rd, err := store.OpenReader(be)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := Compile("msgLength>100000, sock=*\npid=7\nsock=pid\ndestName=sourceName")
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.NoPrune = true
+	segs, _ := Admitted(rd, q)
+	if len(segs) != 1 {
+		t.Fatalf("want one segment, got %d", len(segs))
+	}
+	var line trace.Line
+	res := scanSegment(q, segs[0], &line)
+	if res.err != nil || res.records != 400 || res.bad != 0 || len(res.matched) != 0 {
+		t.Fatalf("scan: err=%v records=%d bad=%d matched=%d, want 400 records all rejected",
+			res.err, res.records, res.bad, len(res.matched))
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		scanSegment(q, segs[0], &line)
+	}); n != 0 {
+		t.Fatalf("rejecting a 400-record segment allocates %v, want 0", n)
 	}
 }

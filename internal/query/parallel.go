@@ -67,32 +67,39 @@ var matchedPool = sync.Pool{
 func getMatched() []trace.Event { return matchedPool.Get().([]trace.Event)[:0] }
 
 func putMatched(s []trace.Event) {
+	if s == nil {
+		return
+	}
 	clear(s[:cap(s)]) // events hold maps; don't pin them from the pool
 	matchedPool.Put(s[:0])
 }
 
-// scanSegment runs the record-selection tier over one segment: the
-// exact body of shardCursor.loadNext, minus the merge (which must stay
-// in task order and so runs on the collector). res.matched is a pooled
-// scratch buffer; the collector owns returning it.
-func scanSegment(q *Query, rs *store.ReaderSegment) scanResult {
-	res := scanResult{scanned: 1, matched: getMatched()}
+// scanSegment runs the record-selection tier over one segment: each
+// line is scanned in place into line and the rules run on the scan, so
+// a rejected record allocates nothing; only a match is materialized and
+// projected. res.matched is a pooled scratch buffer, taken on the first
+// match; the caller owns returning it. A torn unsealed tail is
+// tolerated, as with trace logs.
+func scanSegment(q *Query, rs *store.ReaderSegment, line *trace.Line) scanResult {
+	res := scanResult{scanned: 1}
 	admit := q.Admits
 	if q.NoPrune {
 		admit = nil
 	}
 	d := store.AcquireDecoder()
-	st, err := rs.Scan(d, admit, func(m store.Meta, line []byte) {
-		ev, perr := trace.ParseOne(line)
-		if perr != nil {
+	st, err := rs.Scan(d, admit, func(m store.Meta, b []byte) {
+		if line.Parse(b) != nil {
 			res.bad++
 			return
 		}
-		ok, discards := q.Match(&ev)
+		ok, discards := q.Match(line)
 		if !ok {
 			return
 		}
-		res.matched = append(res.matched, project(ev, discards))
+		if res.matched == nil {
+			res.matched = getMatched()
+		}
+		res.matched = append(res.matched, project(line.Event(), discards))
 	})
 	store.ReleaseDecoder(d)
 	res.records, res.blocks, res.pruned = st.Records, st.Blocks, st.BlocksPruned
@@ -101,6 +108,16 @@ func scanSegment(q *Query, rs *store.ReaderSegment) scanResult {
 		return scanResult{err: err}
 	}
 	return res
+}
+
+// add folds one scanned segment's counters into the stats.
+func (s *Stats) add(r scanResult) {
+	s.Scanned += r.scanned
+	s.Blocks += r.blocks
+	s.BlocksPruned += r.pruned
+	s.Records += r.records
+	s.BadLines += r.bad
+	s.Matched += len(r.matched)
 }
 
 // runParallel executes the query with a pool of workers scanning
@@ -141,12 +158,13 @@ func runParallel(rd *store.Reader, q *Query, workers int) (*Result, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var line trace.Line
 			for {
 				n := int(next.Add(1)) - 1
 				if n >= len(tasks) {
 					return
 				}
-				r := scanSegment(q, tasks[n].rs)
+				r := scanSegment(q, tasks[n].rs, &line)
 				r.idx, r.shard = n, tasks[n].shard
 				results <- r
 			}
@@ -184,12 +202,7 @@ func runParallel(rd *store.Reader, q *Query, workers int) (*Result, error) {
 				}
 				continue
 			}
-			res.Stats.Scanned += nr.scanned
-			res.Stats.Blocks += nr.blocks
-			res.Stats.BlocksPruned += nr.pruned
-			res.Stats.Records += nr.records
-			res.Stats.BadLines += nr.bad
-			res.Stats.Matched += len(nr.matched)
+			res.Stats.add(nr)
 			bufs[nr.shard] = append(bufs[nr.shard], nr.matched...)
 			putMatched(nr.matched)
 		}

@@ -20,7 +20,6 @@ package query
 
 import (
 	"container/heap"
-	"errors"
 	"fmt"
 
 	"dpm/internal/filter"
@@ -189,44 +188,17 @@ func (q *Query) Admits(x store.Index) bool {
 	return false
 }
 
-// eventSource adapts a parsed trace event to filter.FieldSource, so
-// the query engine runs the filter's own rule evaluator instead of a
-// drifting copy. Header fields resolve by name first, then the body
-// fields, mirroring filter.Record.Field; the "size" header field is
-// not carried in log lines and so cannot be queried.
-type eventSource trace.Event
-
-func (e *eventSource) Field(name string) (uint64, bool) {
-	switch name {
-	case "machine":
-		return uint64(e.Machine), true
-	case "cpuTime":
-		return uint64(e.CPUTime), true
-	case "procTime":
-		return uint64(e.ProcTime), true
-	case "type", "traceType":
-		return uint64(e.Type), true
-	}
-	v, ok := e.Fields[name]
-	return v, ok
-}
-
-func (e *eventSource) NameField(name string) (meter.Name, bool) {
-	n, ok := e.Names[name]
-	return n, ok
-}
-
-// Match evaluates the query against one event. With no rules every
-// event matches; otherwise the first matching rule's discards apply.
-// The returned discard set is precomputed per rule and shared across
-// calls: callers must not mutate it.
-func (q *Query) Match(e *trace.Event) (bool, map[string]bool) {
+// Match evaluates the query against one scanned record line, in
+// place. With no rules every record matches; otherwise the first
+// matching rule's discards apply. The returned discard set is
+// precomputed per rule and shared across calls: callers must not
+// mutate it.
+func (q *Query) Match(l *trace.Line) (bool, map[string]bool) {
 	if len(q.Rules) == 0 {
 		return true, nil
 	}
-	src := (*eventSource)(e)
 	for i, r := range q.Rules {
-		if r.MatchSource(src) {
+		if r.MatchSource(l) {
 			if i < len(q.discards) {
 				return true, q.discards[i]
 			}
@@ -325,6 +297,7 @@ type shardCursor struct {
 	buf   []trace.Event          // matching events, sorted by CPUTime
 	idx   int
 	stats *Stats
+	line  trace.Line // scan scratch, reused across segments
 }
 
 // minRemaining is the smallest timestamp any unloaded segment could
@@ -362,42 +335,19 @@ func (c *shardCursor) ready() (bool, error) {
 }
 
 // loadNext scans the next admitted segment and merges its matching
-// events into the buffer. Compressed segments decompress only the
-// blocks the query's envelope admits, through a pooled decoder. A torn
-// unsealed tail is tolerated, as with trace logs; corruption of a
-// sealed segment is fatal to the query.
+// events into the buffer. Corruption of a sealed segment is fatal to
+// the query.
 func (c *shardCursor) loadNext() error {
 	rs := c.segs[0]
 	c.segs = c.segs[1:]
-	c.stats.Scanned++
-	admit := c.q.Admits
-	if c.q.NoPrune {
-		admit = nil
+	res := scanSegment(c.q, rs, &c.line)
+	if res.err != nil {
+		return res.err
 	}
-	var matched []trace.Event
-	d := store.AcquireDecoder()
-	st, err := rs.Scan(d, admit, func(m store.Meta, line []byte) {
-		ev, perr := trace.ParseOne(line)
-		if perr != nil {
-			c.stats.BadLines++
-			return
-		}
-		ok, discards := c.q.Match(&ev)
-		if !ok {
-			return
-		}
-		c.stats.Matched++
-		matched = append(matched, project(ev, discards))
-	})
-	store.ReleaseDecoder(d)
-	c.stats.Records += st.Records
-	c.stats.Blocks += st.Blocks
-	c.stats.BlocksPruned += st.BlocksPruned
-	if err != nil && !errors.Is(err, store.ErrTruncated) {
-		return err
-	}
-	c.buf = trace.Merge(c.buf[c.idx:], matched)
+	c.stats.add(res)
+	c.buf = trace.Merge(c.buf[c.idx:], res.matched)
 	c.idx = 0
+	putMatched(res.matched)
 	return nil
 }
 

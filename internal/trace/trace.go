@@ -9,10 +9,10 @@
 package trace
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
 	"dpm/internal/meter"
@@ -71,102 +71,39 @@ var typeByName = map[string]meter.Type{
 // record fails to parse yields the valid prefix and ErrTruncated; a
 // bad record anywhere else is an error.
 func ParseLog(data []byte) ([]Event, error) {
-	lines := strings.Split(string(data), "\n")
-	lastNonEmpty := -1
-	for i, line := range lines {
-		if strings.TrimSpace(line) != "" {
-			lastNonEmpty = i
-		}
-	}
 	var events []Event
-	for lineNo, line := range lines {
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
+	var l Line
+	for lineNo := 1; ; lineNo++ {
+		line, rest := data, []byte(nil)
+		if i := bytes.IndexByte(data, '\n'); i >= 0 {
+			line, rest = data[:i], data[i+1:]
 		}
-		ev, err := parseLine(line)
-		if err != nil {
-			if lineNo == lastNonEmpty {
-				return events, fmt.Errorf("%w: line %d: %v", ErrTruncated, lineNo+1, err)
+		if err := l.Parse(line); err == nil {
+			ev := l.Event()
+			ev.Seq = len(events)
+			events = append(events, ev)
+		} else if !errors.Is(err, errEmptyLine) {
+			if len(bytes.TrimSpace(rest)) == 0 {
+				return events, fmt.Errorf("%w: line %d: %v", ErrTruncated, lineNo, err)
 			}
-			return nil, fmt.Errorf("trace: line %d: %w", lineNo+1, err)
+			return nil, fmt.Errorf("trace: line %d: %w", lineNo, err)
 		}
-		ev.Seq = len(events)
-		events = append(events, ev)
+		if rest == nil {
+			return events, nil
+		}
+		data = rest
 	}
-	return events, nil
 }
 
 // ParseOne parses a single formatted record line (no trailing
-// newline), the per-record entry point for scan paths that stream
-// lines out of the store instead of splitting a whole log.
+// newline). Scan paths that only test or fold records use a Line
+// directly and materialize nothing.
 func ParseOne(line []byte) (Event, error) {
-	s := strings.TrimSpace(string(line))
-	if s == "" {
-		return Event{}, fmt.Errorf("trace: empty record line")
+	var l Line
+	if err := l.Parse(line); err != nil {
+		return Event{}, err
 	}
-	return parseLine(s)
-}
-
-func parseLine(line string) (Event, error) {
-	toks := strings.Fields(line)
-	ev := Event{
-		Event:  toks[0],
-		Fields: make(map[string]uint64),
-		Names:  make(map[string]meter.Name),
-	}
-	typ, ok := typeByName[toks[0]]
-	if !ok {
-		return ev, fmt.Errorf("unknown event %q", toks[0])
-	}
-	ev.Type = typ
-	for _, tok := range toks[1:] {
-		eq := strings.IndexByte(tok, '=')
-		if eq <= 0 {
-			return ev, fmt.Errorf("bad field %q", tok)
-		}
-		key, val := tok[:eq], tok[eq+1:]
-		switch key {
-		case "machine":
-			v, err := strconv.Atoi(val)
-			if err != nil {
-				return ev, fmt.Errorf("bad machine %q", val)
-			}
-			ev.Machine = v
-		case "cpuTime":
-			v, err := strconv.ParseInt(val, 10, 64)
-			if err != nil {
-				return ev, fmt.Errorf("bad cpuTime %q", val)
-			}
-			ev.CPUTime = v
-		case "procTime":
-			v, err := strconv.ParseInt(val, 10, 64)
-			if err != nil {
-				return ev, fmt.Errorf("bad procTime %q", val)
-			}
-			ev.ProcTime = v
-		default:
-			if n, err := meter.ParseName(val); err == nil && looksLikeName(val) {
-				ev.Names[key] = n
-				if n.Family() == meter.AFInet {
-					host, _ := n.Inet()
-					ev.Fields[key] = uint64(host)
-				}
-				continue
-			}
-			v, err := strconv.ParseUint(val, 0, 64)
-			if err != nil {
-				return ev, fmt.Errorf("bad value for %s: %q", key, val)
-			}
-			ev.Fields[key] = v
-		}
-	}
-	return ev, nil
-}
-
-func looksLikeName(val string) bool {
-	return val == "-" || strings.HasPrefix(val, "inet:") ||
-		strings.HasPrefix(val, "unix:") || strings.HasPrefix(val, "pair:")
+	return l.Event(), nil
 }
 
 // ParseBinary parses a raw meter byte stream. A stream that ends in

@@ -211,3 +211,42 @@ func TestParseBinaryTruncatedTail(t *testing.T) {
 		t.Fatalf("prefix = %+v, want the fork record", events)
 	}
 }
+
+// BenchmarkLineParse measures the record-line scanner on the common
+// SEND shape, the per-record cost of every query and aggregate scan.
+func BenchmarkLineParse(b *testing.B) {
+	line := []byte("SEND machine=3 cpuTime=81234 procTime=8123 pid=103 pc=4 sock=3 msgLength=64 destNameLen=16 destName=inet:4:7004")
+	var l Line
+	b.SetBytes(int64(len(line)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := l.Parse(line); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestLineParseZeroAlloc gates the scanner itself: once its field
+// slice is warm, scanning a record and resolving its fields — header,
+// body, inet and "-" names — touches no heap.
+func TestLineParseZeroAlloc(t *testing.T) {
+	lines := [][]byte{
+		[]byte("SEND machine=3 cpuTime=81234 procTime=8123 pid=103 pc=4 sock=3 msgLength=64 destNameLen=16 destName=inet:4:7004"),
+		[]byte("ACCEPT machine=2 cpuTime=90 procTime=0 pid=9 pc=4 sock=290 newSock=300 sockNameLen=16 peerNameLen=0 sockName=inet:2:7000 peerName=-"),
+		[]byte("SOCKET machine=3 cpuTime=59 procTime=0 pid=3 pc=0x4 sock=14 domain=2 type=1 protocol=0"),
+	}
+	var l Line
+	if n := testing.AllocsPerRun(100, func() {
+		for _, b := range lines {
+			if err := l.Parse(b); err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range []string{"machine", "type", "pid", "destName", "sockName", "absent"} {
+				l.Field(f)
+				l.NameField(f)
+			}
+		}
+	}); n != 0 {
+		t.Fatalf("scanning %d lines allocates %v, want 0", len(lines), n)
+	}
+}

@@ -3,10 +3,11 @@
 # and writes the results as JSON (default: BENCH_filter.json at the
 # repo root), then the cluster-density benchmarks into a second file
 # (default: BENCH_scale.json). CI runs this and archives both; the
-# allocation
-# regression gates are the testing.AllocsPerRun tests
-# (internal/filter/alloc_test.go, internal/store/batch_test.go), which
-# fail `go test` outright if a hot-path allocation creeps back in.
+# allocation regression gates are the testing.AllocsPerRun tests
+# (internal/filter/alloc_test.go, internal/store/batch_test.go and the
+# ZeroAlloc/NoAlloc tests of internal/agg, internal/query and
+# internal/trace), which fail `go test` outright if a hot-path
+# allocation creeps back in.
 #
 # The two store ingest benchmarks run with fixed iteration counts that
 # write the same total number of records: the in-memory backend keeps
@@ -39,6 +40,10 @@ go test -run '^$' -bench 'BenchmarkQueryParallel' -benchmem -benchtime=20x . >>"
 # report a bytes_moved metric; their ratio is the wire-traffic
 # reduction claimed in EXPERIMENTS.md.
 go test -run '^$' -bench 'BenchmarkAggPushdown' -benchmem -benchtime=20x ./internal/agg/ >>"$tmp"
+# Aggregate scan cost on the end-to-end query workload's shape (100k
+# records, "agg count by machine window 1s"): ns/record and
+# allocs/record are recorded, not gated.
+go test -run '^$' -bench 'BenchmarkAggEval$' -benchmem -benchtime=10x ./internal/agg/ >>"$tmp"
 # Live streaming analysis overhead: the full pipeline with and without
 # the live tap attached, same iteration count so the ns/op pair is
 # directly comparable. The overhead gate below reads these lines; the
@@ -66,8 +71,8 @@ fi
 # internal/query/alloc_test.go). 1.25x leaves slack over the ~1.2x
 # target for heap noise between runs.
 awk '
-$1 == "BenchmarkQueryParallel/workers=1" { for (i = 3; i < NF; i++) if ($(i+1) == "B/op") seq = $i }
-$1 == "BenchmarkQueryParallel/workers=2" { for (i = 3; i < NF; i++) if ($(i+1) == "B/op") par = $i }
+$1 ~ /^BenchmarkQueryParallel\/workers=1(-[0-9]+)?$/ { for (i = 3; i < NF; i++) if ($(i+1) == "B/op") seq = $i }
+$1 ~ /^BenchmarkQueryParallel\/workers=2(-[0-9]+)?$/ { for (i = 3; i < NF; i++) if ($(i+1) == "B/op") par = $i }
 END {
     if (seq + 0 <= 0 || par + 0 <= 0) { print "bench_filter.sh: missing QueryParallel B/op results" > "/dev/stderr"; exit 1 }
     ratio = par / seq
@@ -136,7 +141,7 @@ awk '
 BEGIN { print "{"; print "  \"generated_by\": \"scripts/bench_filter.sh\","; print "  \"benchmarks\": [" }
 /^Benchmark/ {
     name = $1; iters = $2
-    ns = "null"; mbs = "null"; bop = "null"; aop = "null"; bmv = "null"; cx = "null"; bod = "null"; blkp = "null"
+    ns = "null"; mbs = "null"; bop = "null"; aop = "null"; bmv = "null"; cx = "null"; bod = "null"; blkp = "null"; nsr = "null"; apr = "null"
     for (i = 3; i < NF; i++) {
         if ($(i+1) == "ns/op")         ns   = $i
         if ($(i+1) == "MB/s")          mbs  = $i
@@ -146,9 +151,11 @@ BEGIN { print "{"; print "  \"generated_by\": \"scripts/bench_filter.sh\","; pri
         if ($(i+1) == "compression-x") cx   = $i
         if ($(i+1) == "bytes_on_disk") bod  = $i
         if ($(i+1) == "blocks-pruned") blkp = $i
+        if ($(i+1) == "ns/record")     nsr  = $i
+        if ($(i+1) == "allocs/record") apr  = $i
     }
     if (n++) printf ",\n"
-    printf "    {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s, \"mb_per_s\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s, \"bytes_moved\": %s, \"compression_x\": %s, \"bytes_on_disk\": %s, \"blocks_pruned\": %s}", name, iters, ns, mbs, bop, aop, bmv, cx, bod, blkp
+    printf "    {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s, \"mb_per_s\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s, \"bytes_moved\": %s, \"compression_x\": %s, \"bytes_on_disk\": %s, \"blocks_pruned\": %s, \"ns_per_record\": %s, \"allocs_per_record\": %s}", name, iters, ns, mbs, bop, aop, bmv, cx, bod, blkp, nsr, apr
 }
 END { print ""; print "  ]"; print "}" }
 ' "$tmp" >"$out"
