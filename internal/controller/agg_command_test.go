@@ -14,16 +14,9 @@ import (
 
 // populateFilterStore writes n synthetic events into a filter's event
 // store on its machine, flushed so segments are sealed and indexed.
-func populateFilterStore(t *testing.T, c *kernel.Cluster, machine, filterName string, n int) {
+func populateFilterStore(t *testing.T, c *kernel.Cluster, ctl *Controller, machine, filterName string, n int) {
 	t.Helper()
-	m, err := c.Machine(machine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := store.Open(store.NewFsysBackend(m.FS(), testUID, filter.StorePath(filterName)), store.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := openFilterStore(t, c, ctl, machine, filterName)
 	for i := 0; i < n; i++ {
 		typ := meter.EvSend
 		if i%2 == 1 {
@@ -36,10 +29,35 @@ func populateFilterStore(t *testing.T, c *kernel.Cluster, machine, filterName st
 	}
 }
 
+// openFilterStore opens a running filter's event store for the test to
+// write into directly. It waits until the filter listens — after its
+// own store.Open — or that Open could find the test's unsealed segment
+// and re-seal it at whatever prefix had been written by then.
+func openFilterStore(t *testing.T, c *kernel.Cluster, ctl *Controller, machine, filterName string) *store.Store {
+	t.Helper()
+	m, err := c.Machine(machine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "filter "+filterName+" to listen", func() bool {
+		for _, f := range ctl.Filters() {
+			if f.Name == filterName && m.PortBound(kernel.SockStream, f.Port) {
+				return true
+			}
+		}
+		return false
+	})
+	st, err := store.Open(store.NewFsysBackend(m.FS(), testUID, filter.StorePath(filterName)), store.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 func TestQueryAggCommand(t *testing.T) {
 	c, ctl, out := newSystem(t)
 	ctl.Exec("filter f1 blue")
-	populateFilterStore(t, c, "blue", "f1", 40)
+	populateFilterStore(t, c, ctl, "blue", "f1", 40)
 
 	// Plain group-by count, pushed down to blue's daemon.
 	ctl.Exec("query f1 aggout agg count by machine")
@@ -80,8 +98,8 @@ func TestQueryAggAllFanout(t *testing.T) {
 	c, ctl, out := newSystem(t)
 	ctl.Exec("filter f1 blue")
 	ctl.Exec("filter f2 green")
-	populateFilterStore(t, c, "blue", "f1", 40)
-	populateFilterStore(t, c, "green", "f2", 40)
+	populateFilterStore(t, c, ctl, "blue", "f1", 40)
+	populateFilterStore(t, c, ctl, "green", "f2", 40)
 
 	ctl.Exec("query all aggall agg count by machine")
 	if !strings.Contains(out.String(), "agg 'agg count by machine': 2/2 filters reporting (f1@blue f2@green)") {
@@ -106,9 +124,9 @@ func TestAggDegradedMerge(t *testing.T) {
 	ctl.Exec("filter f1 red")
 	ctl.Exec("filter f2 green")
 	ctl.Exec("filter f3 blue")
-	populateFilterStore(t, c, "red", "f1", 40)
-	populateFilterStore(t, c, "green", "f2", 40)
-	populateFilterStore(t, c, "blue", "f3", 40)
+	populateFilterStore(t, c, ctl, "red", "f1", 40)
+	populateFilterStore(t, c, ctl, "green", "f2", 40)
+	populateFilterStore(t, c, ctl, "blue", "f3", 40)
 	ctl.Exec("status") // warm the sessions so the faults strike live connections
 
 	if err := c.CrashMachine("red"); err != nil {
@@ -138,7 +156,7 @@ func TestAggDegradedMerge(t *testing.T) {
 func TestWatchCommand(t *testing.T) {
 	c, ctl, out := newSystem(t)
 	ctl.Exec("filter f1 blue")
-	populateFilterStore(t, c, "blue", "f1", 8)
+	populateFilterStore(t, c, ctl, "blue", "f1", 8)
 
 	ctl.Exec("watch 2 1 query f1 wout agg count by machine")
 	s := out.String()

@@ -417,7 +417,10 @@ func Main(p *kernel.Process) int {
 	// and writes through the machine's file system directly — process
 	// syscalls are unusable during a kill unwind, and the forensic
 	// record matters most when the filter died by fault injection.
+	// Between the two, closing the store waits out the background
+	// archiver, so nothing writes the store once the filter is gone.
 	defer p.Machine().ExportStats(StatsPath(name), p.UID())
+	defer st.Close()
 	defer pipe.Close()
 
 	for {

@@ -1,7 +1,9 @@
 package store
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -16,7 +18,10 @@ import (
 // must create a missing file. Three implementations cover the store's
 // lives: FsysBackend inside the simulated cluster (filters and
 // daemons), DirBackend on the host file system (offline querying with
-// dpquery), and MemBackend for tests and benchmarks.
+// dpquery), and MemBackend for tests and benchmarks. Create must
+// replace a file whole — a reader or a restart sees the old state or
+// the complete new file — and Read and Remove of a missing file must
+// return an error that isNotExist recognizes.
 type Backend interface {
 	Create(name string, data []byte) error
 	Append(name string, data []byte) error
@@ -24,6 +29,12 @@ type Backend interface {
 	Remove(name string) error
 	// List returns the sorted segment file names present.
 	List() ([]string, error)
+}
+
+// isNotExist reports whether a backend error says the file is gone —
+// in the host's, the simulated, or the in-memory file system.
+func isNotExist(err error) bool {
+	return errors.Is(err, fs.ErrNotExist) || errors.Is(err, fsys.ErrNotExist)
 }
 
 // FsysBackend stores segments under a directory prefix of a simulated
@@ -98,7 +109,13 @@ func (b *DirBackend) Create(name string, data []byte) error {
 	if err := os.MkdirAll(b.root, 0o755); err != nil {
 		return err
 	}
-	return os.WriteFile(p, data, 0o644)
+	// Write beside the target and rename over it, so a crash never
+	// leaves a torn merged segment next to the inputs it replaces.
+	tmp := filepath.Join(b.root, "."+name+".tmp")
+	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+		return err
+	}
+	return os.Rename(tmp, p)
 }
 
 // Append implements Backend.
@@ -189,7 +206,7 @@ func (b *MemBackend) Read(name string) ([]byte, error) {
 	defer b.mu.Unlock()
 	data, ok := b.files[name]
 	if !ok {
-		return nil, fmt.Errorf("store: no segment %q", name)
+		return nil, fmt.Errorf("store: no segment %q: %w", name, fs.ErrNotExist)
 	}
 	return append([]byte(nil), data...), nil
 }
@@ -199,7 +216,7 @@ func (b *MemBackend) Remove(name string) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if _, ok := b.files[name]; !ok {
-		return fmt.Errorf("store: no segment %q", name)
+		return fmt.Errorf("store: no segment %q: %w", name, fs.ErrNotExist)
 	}
 	delete(b.files, name)
 	return nil

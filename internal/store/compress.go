@@ -198,8 +198,11 @@ type blockMeta struct {
 // DEFLATE entropy coding over that dense payload buys little while a
 // dynamic-Huffman build per sync flush costs ~3x the whole ingest
 // path. Stored flate blocks keep the sync-marker durability contract
-// for free; the archival tier re-encodes cold segments at
-// BestCompression where the cost is paid once, off the hot path.
+// for free. The archival tier re-encodes cold segments once, at
+// DefaultCompression, on the store's background archiver — not on the
+// append path: run inline under the shard lock at BestCompression, it
+// made the benchmark ingest's per-record append cost ~4x (8.2–9.2 µs
+// against 2.0–2.3 µs, 2-vCPU Xeon; docs/store.md).
 func newCompWriter(level, target int) *compWriter {
 	if target <= 0 {
 		target = DefaultBlockTarget

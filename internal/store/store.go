@@ -29,8 +29,8 @@ type Config struct {
 	// (see compress.go). Reads understand both regardless.
 	Compress CompressMode
 	// CompressLevel is the flate level for CompressBlocks; 0 selects
-	// flate.BestSpeed (the ingest path cannot afford more, and the
-	// archival tier recompresses at BestCompression anyway).
+	// flate.NoCompression (the ingest path cannot afford more, and the
+	// archival tier recompresses at DefaultCompression anyway).
 	CompressLevel int
 	// BlockTarget is the v1-equivalent byte size of one compressed
 	// block — the granularity of zone-map pruning. 0 selects
@@ -38,9 +38,12 @@ type Config struct {
 	BlockTarget int
 	// ArchiveAfter, when non-zero, is the cpuTime age (ms behind the
 	// newest record the store has seen) past which cold sealed segments
-	// roll into the archival tier: re-encoded at BestCompression, up to
-	// archiveRunMax segments merged per archive file. Archival preserves
-	// every record; only its encoding changes.
+	// roll into the archival tier: re-encoded at DefaultCompression, up
+	// to archiveRunMax segments merged per archive file. Archival
+	// preserves every record; only its encoding changes. Rotation only
+	// signals the store's background archiver, so the re-encode (~2.5
+	// µs a record) is not paid on the append path; Flush and Maintain
+	// archive inline.
 	ArchiveAfter uint64
 	// RetainFor, when non-zero, is the retention horizon (cpuTime ms):
 	// a sealed segment whose MaxTime has fallen more than RetainFor
@@ -101,6 +104,41 @@ type SegmentInfo struct {
 	Sealed bool
 }
 
+func (in *SegmentInfo) span() (start, end, tier int) { return in.Start, in.End, in.Tier }
+
+// dropCovered sorts one shard's segment files into rotation order and
+// splits off those whose sequence range another file covers: a wider
+// file of the shard, or a tier-1 archive of the same range.
+// Compaction and archival create their merged file before removing
+// the inputs, and a merge never spans a sequence gap, so a covered
+// file is an input whose records the merged file already holds. One
+// sweep in (Start, widest first, archive first) order finds them all:
+// a file is covered iff it ends at or before the furthest End seen.
+func dropCovered[T any](segs []T, span func(T) (start, end, tier int)) (kept, covered []T) {
+	sort.Slice(segs, func(a, b int) bool {
+		sa, ea, ta := span(segs[a])
+		sb, eb, tb := span(segs[b])
+		if sa != sb {
+			return sa < sb
+		}
+		if ea != eb {
+			return ea > eb
+		}
+		return ta > tb
+	})
+	kept = segs[:0]
+	maxEnd := 0
+	for _, seg := range segs {
+		if _, end, _ := span(seg); end > maxEnd {
+			maxEnd = end
+			kept = append(kept, seg)
+		} else {
+			covered = append(covered, seg)
+		}
+	}
+	return kept, covered
+}
+
 func segName(shard, start, end, tier int) string {
 	prefix := "s"
 	if tier > 0 {
@@ -156,6 +194,16 @@ type Store struct {
 	// that retention and archival ages are measured against.
 	maxSeen atomic.Uint64
 
+	// The background archiver: started on demand by a rotation that
+	// leaves a cold run behind, gone once a pass finds none. archDirty
+	// asks a running archiver for one more pass; archClosed (set by
+	// Close) stops new starts. Lock order: sh.mu before archMu.
+	archMu      sync.Mutex
+	archRunning bool
+	archDirty   bool
+	archClosed  bool
+	archWG      sync.WaitGroup
+
 	// obs handles, resolved once in Open. The Stats struct above stays
 	// the legacy view; these mirror it into the machine registry plus
 	// the latencies the struct cannot carry.
@@ -166,6 +214,7 @@ type Store struct {
 	obsAbandoned   *obs.Counter
 	obsArchived    *obs.Counter
 	obsArchiveRuns *obs.Counter
+	obsArchiveErrs *obs.Counter
 	obsExpiredSegs *obs.Counter
 	obsExpiredRecs *obs.Counter
 	obsBlocks      *obs.Counter
@@ -198,7 +247,9 @@ type shard struct {
 // segments are adopted as they are; an unsealed or damaged segment —
 // what a crashed writer leaves behind — is recovered by rewriting its
 // valid record prefix as a sealed segment, so every record that
-// survived the crash is indexed and queryable.
+// survived the crash is indexed and queryable. The inputs of a
+// compaction or archive that died before removing them are removed,
+// not adopted (see dropCovered).
 func Open(be Backend, cfg Config) (*Store, error) {
 	cfg = cfg.withDefaults()
 	names, err := be.List()
@@ -218,6 +269,7 @@ func Open(be Backend, cfg Config) (*Store, error) {
 		obsAbandoned:   reg.Counter("store.abandoned"),
 		obsArchived:    reg.Counter("store.archived_segments"),
 		obsArchiveRuns: reg.Counter("store.archive_runs"),
+		obsArchiveErrs: reg.Counter("store.archive_errors"),
 		obsExpiredSegs: reg.Counter("store.expired_segments"),
 		obsExpiredRecs: reg.Counter("store.expired_records"),
 		obsBlocks:      reg.Counter("store.blocks"),
@@ -245,8 +297,12 @@ func Open(be Backend, cfg Config) (*Store, error) {
 		if cfg.Compress == CompressBlocks {
 			sh.cw = newCompWriter(cfg.CompressLevel, cfg.BlockTarget)
 		}
-		infos := byShard[i]
-		sort.Slice(infos, func(a, b int) bool { return infos[a].Start < infos[b].Start })
+		// A crash between writing a merged file and removing its inputs
+		// leaves both: finish the job, so no record is adopted twice.
+		infos, covered := dropCovered(byShard[i], (*SegmentInfo).span)
+		for _, info := range covered {
+			_ = be.Remove(info.Name)
+		}
 		for _, info := range infos {
 			data, err := be.Read(info.Name)
 			if err != nil {
@@ -374,17 +430,7 @@ func (s *Store) flushScratchLocked(sh *shard, rotations *int) error {
 	}
 	sh.active.Bytes += n
 	s.foldPendingLocked(sh, nil)
-	if sh.active.Bytes >= s.cfg.SegmentCap {
-		if err := s.sealLocked(sh); err != nil {
-			return err
-		}
-		*rotations++
-		if err := s.compactLocked(sh); err != nil {
-			return err
-		}
-		return s.maintainLocked(sh)
-	}
-	return nil
+	return s.rotateLocked(sh, rotations)
 }
 
 // flushCompressedLocked is flushLocked's v2 half: push the staged
@@ -412,16 +458,23 @@ func (s *Store) flushCompressedLocked(sh *shard, rotations *int) error {
 	}
 	sh.active.Bytes += stagedV1
 	s.foldPendingLocked(sh, w)
-	if sh.active.Bytes >= s.cfg.SegmentCap {
-		if err := s.sealLocked(sh); err != nil {
-			return err
-		}
-		*rotations++
-		if err := s.compactLocked(sh); err != nil {
-			return err
-		}
-		return s.maintainLocked(sh)
+	return s.rotateLocked(sh, rotations)
+}
+
+// rotateLocked seals the active segment once it has reached the cap,
+// then compacts and runs retention maintenance. Caller holds sh.mu.
+func (s *Store) rotateLocked(sh *shard, rotations *int) error {
+	if sh.active.Bytes < s.cfg.SegmentCap {
+		return nil
 	}
+	if err := s.sealLocked(sh); err != nil {
+		return err
+	}
+	*rotations++
+	if err := s.compactLocked(sh); err != nil {
+		return err
+	}
+	s.maintainLocked(sh)
 	return nil
 }
 
@@ -606,14 +659,18 @@ func (s *Store) sealLocked(sh *shard) error {
 	return nil
 }
 
-// compactLocked merges the trailing run of small sealed segments into
-// one when the run reaches CompactMin — the store's answer to a slow
-// writer being sealed repeatedly by Flush, so segment count stays
-// proportional to data volume. Caller holds sh.mu.
+// compactLocked merges the trailing run of small sealed segments with
+// consecutive sequence numbers into one when the run reaches
+// CompactMin — the store's answer to a slow writer being sealed
+// repeatedly by Flush, so segment count stays proportional to data
+// volume. (A gap is a segment abandoned after a failed write; its file
+// waits for Open's salvage and must not fall inside a merged range.)
+// Caller holds sh.mu.
 func (s *Store) compactLocked(sh *shard) error {
 	small := func(in *SegmentInfo) bool { return in.Tier == 0 && in.Bytes*2 < s.cfg.SegmentCap }
 	i := len(sh.sealed)
-	for i > 0 && small(sh.sealed[i-1]) {
+	for i > 0 && small(sh.sealed[i-1]) &&
+		(i == len(sh.sealed) || sh.sealed[i-1].End+1 == sh.sealed[i].Start) {
 		i--
 	}
 	run := sh.sealed[i:]
@@ -675,76 +732,146 @@ func (s *Store) readRun(run []*SegmentInfo) ([]Rec, Index, int, error) {
 	return recs, x, rawBytes, nil
 }
 
-// maintainLocked runs the shard's retention pass: expire sealed
-// segments beyond the retention horizon, then roll the oldest run of
-// cold hot-tier segments into one archival-tier segment (re-encoded at
-// BestCompression with larger blocks — cold data trades decode cost
-// for space). Ages are cpuTime distances from the newest record the
-// store has seen, so retention advances with the workload's clock, not
-// the host's. Caller holds sh.mu.
-func (s *Store) maintainLocked(sh *shard) error {
-	if s.cfg.RetainFor == 0 && s.cfg.ArchiveAfter == 0 {
-		return nil
+// maintainLocked is the retention pass a rotation runs: expire sealed
+// segments beyond the retention horizon inline (a Remove each, cheap),
+// and when a cold run is ready for the archival tier, hand it to the
+// background archiver instead of re-encoding it here under the shard
+// lock. Caller holds sh.mu.
+func (s *Store) maintainLocked(sh *shard) {
+	s.expireLocked(sh)
+	if i, j := s.archiveRunLocked(sh); j > i {
+		s.signalArchiver()
+	}
+}
+
+// expireLocked removes the sealed segments whose newest record has
+// fallen more than RetainFor behind the newest record the store has
+// seen. Ages are cpuTime distances, so retention advances with the
+// workload's clock, not the host's. Caller holds sh.mu.
+func (s *Store) expireLocked(sh *shard) {
+	if s.cfg.RetainFor == 0 {
+		return
 	}
 	maxSeen := s.maxSeen.Load()
-	if s.cfg.RetainFor > 0 {
-		kept := sh.sealed[:0]
-		expired, expiredRecs := 0, 0
-		for _, info := range sh.sealed {
-			if info.Index.MaxTime+s.cfg.RetainFor < maxSeen {
-				if err := s.be.Remove(info.Name); err == nil {
-					expired++
-					expiredRecs += int(info.Index.Count)
-					continue
-				}
+	kept := sh.sealed[:0]
+	expired, expiredRecs := 0, 0
+	for _, info := range sh.sealed {
+		if info.Index.MaxTime+s.cfg.RetainFor < maxSeen {
+			if err := s.be.Remove(info.Name); err == nil {
+				expired++
+				expiredRecs += int(info.Index.Count)
+				continue
 			}
-			kept = append(kept, info)
 		}
-		sh.sealed = kept
-		if expired > 0 {
-			s.statsMu.Lock()
-			s.stats.Expired += expired
-			s.statsMu.Unlock()
-			s.obsExpiredSegs.Add(int64(expired))
-			s.obsExpiredRecs.Add(int64(expiredRecs))
-		}
+		kept = append(kept, info)
 	}
+	sh.sealed = kept
+	if expired > 0 {
+		s.statsMu.Lock()
+		s.stats.Expired += expired
+		s.statsMu.Unlock()
+		s.obsExpiredSegs.Add(int64(expired))
+		s.obsExpiredRecs.Add(int64(expiredRecs))
+	}
+}
+
+// archiveRunLocked plans the shard's next archive: sh.sealed[i:j], the
+// oldest run of cold hot-tier segments with consecutive sequence
+// numbers, at most archiveRunMax long (j == i when there is none).
+// Archives already at the front of the list are skipped, never
+// re-archived. Caller holds sh.mu.
+func (s *Store) archiveRunLocked(sh *shard) (i, j int) {
 	if s.cfg.ArchiveAfter == 0 {
-		return nil
+		return 0, 0
 	}
-	// The oldest contiguous run of cold hot-tier segments; archives
-	// already at the front of the list are skipped, never re-archived.
-	i := 0
+	maxSeen := s.maxSeen.Load()
 	for i < len(sh.sealed) && sh.sealed[i].Tier != 0 {
 		i++
 	}
-	j := i
+	j = i
 	for j < len(sh.sealed) && j-i < archiveRunMax &&
-		sh.sealed[j].Tier == 0 && sh.sealed[j].Index.MaxTime+s.cfg.ArchiveAfter < maxSeen {
+		sh.sealed[j].Tier == 0 && sh.sealed[j].Index.MaxTime+s.cfg.ArchiveAfter < maxSeen &&
+		(j == i || sh.sealed[j].Start == sh.sealed[j-1].End+1) {
 		j++
 	}
-	if j == i {
-		return nil
-	}
 	// A lone cold segment waits another ArchiveAfter before archiving
-	// alone: under continuous ingest maintenance runs at every
-	// rotation, so segments cool one rotation apart and would otherwise
-	// each become a single-segment archive — recompressed but never
-	// merged. Deferring the run start lets neighbors cool and join;
-	// a straggler with no neighbors still archives at twice the age.
+	// alone: under continuous ingest segments cool one rotation apart
+	// and would otherwise each become a single-segment archive —
+	// recompressed but never merged. Deferring the run start lets
+	// neighbors cool and join; a straggler with no neighbors still
+	// archives at twice the age.
 	if j == i+1 && sh.sealed[i].Index.MaxTime+2*s.cfg.ArchiveAfter >= maxSeen {
-		return nil
+		return i, i
 	}
-	span := obs.StartSpan(s.archiveNS)
-	run := sh.sealed[i:j]
-	recs, x, rawBytes, err := s.readRun(run)
-	if err != nil {
-		return err
+	return i, j
+}
+
+// archiveOnce rolls the shard's next cold run into one archival-tier
+// segment (re-encoded at DefaultCompression with 4x blocks — cold data
+// trades decode cost for space) in three steps: plan under sh.mu; read
+// and encode with no lock held, since sealed files are immutable; and
+// commit under sh.mu only if sh.sealed still holds the planned
+// segments in a row. A compaction or expiry that moved them first
+// wins: the work is dropped and the run re-planned. It reports whether
+// a run was committed.
+func (s *Store) archiveOnce(sh *shard) (bool, error) {
+	for {
+		sh.mu.Lock()
+		i, j := s.archiveRunLocked(sh)
+		run := append([]*SegmentInfo(nil), sh.sealed[i:j]...)
+		sh.mu.Unlock()
+		if len(run) == 0 {
+			return false, nil
+		}
+		span := obs.StartSpan(s.archiveNS)
+		recs, x, rawBytes, err := s.readRun(run)
+		var out []byte
+		if err == nil {
+			out, err = encodeSegmentV2(recs, flate.DefaultCompression, 4*s.cfg.BlockTarget)
+		}
+		sh.mu.Lock()
+		i = runIndex(sh.sealed, run)
+		if i < 0 {
+			sh.mu.Unlock()
+			continue
+		}
+		if err == nil {
+			err = s.commitArchiveLocked(sh, i, run, out, x, rawBytes)
+		}
+		sh.mu.Unlock()
+		if err != nil {
+			return false, err
+		}
+		span.End()
+		return true, nil
 	}
-	out, err := encodeSegmentV2(recs, flate.BestCompression, 4*s.cfg.BlockTarget)
-	if err != nil {
-		return err
+}
+
+// runIndex returns where run sits, pointer for pointer and in a row,
+// in sealed, or -1 when it no longer does.
+func runIndex(sealed, run []*SegmentInfo) int {
+	for i, info := range sealed {
+		if info != run[0] {
+			continue
+		}
+		if i+len(run) > len(sealed) {
+			return -1
+		}
+		for k := range run {
+			if sealed[i+k] != run[k] {
+				return -1
+			}
+		}
+		return i
 	}
+	return -1
+}
+
+// commitArchiveLocked writes an encoded archive of sh.sealed[i:i+len(run)]
+// and retires the run. The archive is created before the inputs are
+// removed, so a crash in between leaves files that Open and OpenReader
+// resolve by dropCovered. Caller holds sh.mu.
+func (s *Store) commitArchiveLocked(sh *shard, i int, run []*SegmentInfo, out []byte, x Index, rawBytes int) error {
 	merged := &SegmentInfo{
 		Name:  segName(sh.id, run[0].Start, run[len(run)-1].End, 1),
 		Shard: sh.id, Start: run[0].Start, End: run[len(run)-1].End,
@@ -757,24 +884,97 @@ func (s *Store) maintainLocked(sh *shard) error {
 		_ = s.be.Remove(info.Name)
 	}
 	sh.sealed[i] = merged
-	sh.sealed = append(sh.sealed[:i+1], sh.sealed[j:]...)
+	sh.sealed = append(sh.sealed[:i+1], sh.sealed[i+len(run):]...)
 	s.statsMu.Lock()
 	s.stats.Archived += len(run)
 	s.statsMu.Unlock()
 	s.obsArchived.Add(int64(len(run)))
 	s.obsArchiveRuns.Inc()
-	span.End()
 	return nil
 }
 
-// Maintain runs the retention pass (expiry + archival) on every shard
-// now, instead of waiting for the next rotation to trigger it.
+// signalArchiver asks the background archiver for a pass, starting it
+// if it is not running. Called under sh.mu.
+func (s *Store) signalArchiver() {
+	s.archMu.Lock()
+	defer s.archMu.Unlock()
+	if s.archClosed {
+		return
+	}
+	s.archDirty = true
+	if s.archRunning {
+		return
+	}
+	s.archRunning = true
+	s.archWG.Add(1)
+	go s.archive()
+}
+
+// archive is the background archiver: it archives every shard's cold
+// runs until a whole pass finds none and no rotation has signalled
+// since, then exits — it never outlives the work, so a store nobody
+// closes is not kept reachable by it. Errors cannot reach an appender
+// from here; they are counted (store.archive_errors) and the shard is
+// retried at the next signal.
+func (s *Store) archive() {
+	defer s.archWG.Done()
+	for s.nextArchivePass() {
+		for _, sh := range s.shards {
+			for !s.archiverClosed() {
+				ok, err := s.archiveOnce(sh)
+				if err != nil {
+					s.obsArchiveErrs.Inc()
+				}
+				if !ok {
+					break
+				}
+			}
+		}
+	}
+}
+
+// nextArchivePass reports whether the archiver has been signalled
+// since its last pass; when it has not, the archiver is marked stopped
+// under the same lock, so a signal racing the exit starts a new one.
+func (s *Store) nextArchivePass() bool {
+	s.archMu.Lock()
+	defer s.archMu.Unlock()
+	if !s.archDirty || s.archClosed {
+		s.archRunning = false
+		return false
+	}
+	s.archDirty = false
+	return true
+}
+
+func (s *Store) archiverClosed() bool {
+	s.archMu.Lock()
+	defer s.archMu.Unlock()
+	return s.archClosed
+}
+
+// Close stops the background archiver, waiting for a run in flight to
+// commit or be dropped. The store stays usable — appends, Flush and
+// Maintain work as before — but rotations no longer archive in the
+// background. Records are durable without Close; it exists so an owner
+// can be sure nothing touches the backend after it returns.
+func (s *Store) Close() error {
+	s.archMu.Lock()
+	s.archClosed = true
+	s.archMu.Unlock()
+	s.archWG.Wait()
+	return nil
+}
+
+// Maintain runs the retention pass on every shard now, instead of
+// waiting for the next rotation to trigger it: expiry, then one
+// archive run per shard, inline.
 func (s *Store) Maintain() error {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		err := s.maintainLocked(sh)
+		s.expireLocked(sh)
 		sh.mu.Unlock()
-		if err != nil {
+		if _, err := s.archiveOnce(sh); err != nil {
 			return err
 		}
 	}
@@ -783,7 +983,8 @@ func (s *Store) Maintain() error {
 
 // Flush seals every non-empty active segment, making all appended
 // records visible behind footers (an unsealed segment is still
-// readable, but must be scanned).
+// readable, but must be scanned), then compacts and runs the retention
+// pass inline, as Maintain does.
 func (s *Store) Flush() error {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
@@ -792,9 +993,12 @@ func (s *Store) Flush() error {
 			err = s.compactLocked(sh)
 		}
 		if err == nil {
-			err = s.maintainLocked(sh)
+			s.expireLocked(sh)
 		}
 		sh.mu.Unlock()
+		if err == nil {
+			_, err = s.archiveOnce(sh)
+		}
 		if err != nil {
 			return err
 		}
@@ -833,6 +1037,7 @@ type ReaderSegment struct {
 	Name   string
 	Shard  int
 	Start  int
+	End    int
 	Tier   int
 	Index  Index
 	Sealed bool
@@ -842,6 +1047,8 @@ type ReaderSegment struct {
 	dataLen int
 	v2      *footerV2
 }
+
+func (rs *ReaderSegment) span() (start, end, tier int) { return rs.Start, rs.End, rs.Tier }
 
 // Load parses the segment's records. An unsealed segment with a torn
 // tail yields its valid prefix and ErrTruncated.
@@ -872,10 +1079,36 @@ type Reader struct {
 	shards [][]*ReaderSegment
 }
 
+// openReaderAttempts bounds OpenReader's restarts after a file listed
+// by one pass was removed before that pass could read it.
+const openReaderAttempts = 16
+
 // OpenReader snapshots the store behind a backend. It reads each
 // segment file once and parses footers only; frame parsing is deferred
 // to ReaderSegment.Load so pruned segments never pay it.
+//
+// The snapshot is consistent while a writer compacts, archives or
+// expires: of the files listed, those covered by a merged file are not
+// read (see dropCovered), so a run listed beside its archive is not
+// counted twice; and a listed file that is gone by the time it is read
+// restarts the snapshot from List. A restart re-reads only the files
+// that were not yet sealed — sealed files never change — so each
+// attempt is cheaper than the last.
 func OpenReader(be Backend) (*Reader, error) {
+	sealed := make(map[string]*ReaderSegment)
+	var err error
+	for attempt := 0; attempt < openReaderAttempts; attempt++ {
+		var r *Reader
+		if r, err = openReader(be, sealed); err == nil || !isNotExist(err) {
+			return r, err
+		}
+	}
+	return nil, err
+}
+
+// openReader is one OpenReader attempt; sealed caches the sealed
+// segments read by earlier attempts.
+func openReader(be Backend, sealed map[string]*ReaderSegment) (*Reader, error) {
 	names, err := be.List()
 	if err != nil {
 		return nil, err
@@ -883,33 +1116,39 @@ func OpenReader(be Backend) (*Reader, error) {
 	byShard := make(map[int][]*ReaderSegment)
 	maxShard := -1
 	for _, name := range names {
-		sh, start, _, tier, ok := parseSegName(name)
+		sh, start, end, tier, ok := parseSegName(name)
 		if !ok {
 			continue
-		}
-		data, err := be.Read(name)
-		if err != nil {
-			return nil, err
-		}
-		rs := &ReaderSegment{Name: name, Shard: sh, Start: start, Tier: tier, data: data}
-		if x, dataLen, ok := ParseFooter(data); ok {
-			rs.Index = x
-			rs.dataLen = dataLen
-			rs.Sealed = true
-		} else if f, ok := parseFooterV2(data); ok {
-			rs.Index = f.Index
-			rs.v2 = f
-			rs.Sealed = true
 		}
 		if sh > maxShard {
 			maxShard = sh
 		}
-		byShard[sh] = append(byShard[sh], rs)
+		byShard[sh] = append(byShard[sh], &ReaderSegment{Name: name, Shard: sh, Start: start, End: end, Tier: tier})
 	}
 	r := &Reader{}
 	for i := 0; i <= maxShard; i++ {
-		segs := byShard[i]
-		sort.Slice(segs, func(a, b int) bool { return segs[a].Start < segs[b].Start })
+		segs, _ := dropCovered(byShard[i], (*ReaderSegment).span)
+		for k, rs := range segs {
+			if cached := sealed[rs.Name]; cached != nil {
+				segs[k] = cached
+				continue
+			}
+			if rs.data, err = be.Read(rs.Name); err != nil {
+				return nil, err
+			}
+			if x, dataLen, ok := ParseFooter(rs.data); ok {
+				rs.Index = x
+				rs.dataLen = dataLen
+				rs.Sealed = true
+			} else if f, ok := parseFooterV2(rs.data); ok {
+				rs.Index = f.Index
+				rs.v2 = f
+				rs.Sealed = true
+			}
+			if rs.Sealed {
+				sealed[rs.Name] = rs
+			}
+		}
 		r.shards = append(r.shards, segs)
 	}
 	return r, nil
