@@ -2,7 +2,6 @@ package controller
 
 import (
 	"fmt"
-	"hash/crc32"
 	"strconv"
 	"strings"
 	"sync"
@@ -783,32 +782,25 @@ func (c *Controller) cmdStdin(args []string) {
 	}
 }
 
-// cmdGetLog retrieves a filter's log, incrementally when possible: the
-// controller remembers how many bytes it has already fetched into the
-// destination (and their CRC), asks the daemon for only the bytes past
-// that offset, and appends them. The daemon echoes the total file size
-// and the CRC of the skipped prefix; a mismatch in either (the log
-// shrank, or was rewritten in place at the same length, as the counting
-// filter does every batch) falls back to a full transfer. Daemons
-// predating the offset extension ignore the trailing field and return
-// the whole file with no size echo, which also lands on the full-copy
-// path.
+// maxGetLogRestarts bounds how often one getlog starts over because
+// the log was replaced while it was being fetched in pages.
+const maxGetLogRestarts = 3
+
+// cmdGetLog retrieves a filter's log, incrementally when possible. The
+// controller remembers the destination, how many bytes of the log it
+// has fetched there and the log's incarnation number (fsys.File.Ino),
+// and asks the daemon only for the bytes past that offset. Every reply
+// echoes the log's total size and incarnation, and a reply is spliced
+// onto the destination only when its incarnation is the one already
+// fetched and the size accounts for the splice. A log that was
+// replaced has a new incarnation, whatever its length — the counting
+// filter replaces its log on every batch, and a shrink or a
+// same-length rewrite is a replace too — so it is fetched from the
+// top. A log longer than one reply arrives in pages, each requested at
+// the new offset; a replace between pages restarts from the top.
 func (c *Controller) cmdGetLog(args []string) {
 	if len(args) != 2 {
 		c.printf("usage: getlog filtername destfile\n")
-		return
-	}
-	c.mu.Lock()
-	f, ok := c.filters[args[0]]
-	var off int
-	var prefixCRC uint32
-	if ok {
-		off = f.LogOffset
-		prefixCRC = f.LogCRC
-	}
-	c.mu.Unlock()
-	if !ok {
-		c.printf("no filter '%s'\n", args[0])
 		return
 	}
 	dest := args[1]
@@ -816,70 +808,62 @@ func (c *Controller) cmdGetLog(args []string) {
 		dest = "/usr/" + dest
 	}
 	c.mu.Lock()
-	if f.LogDest != dest {
-		// New destination: the remembered offset describes a different
-		// file, so fetch from the top.
-		off, prefixCRC = 0, 0
+	f, ok := c.filters[args[0]]
+	var off int
+	var ino uint64
+	if ok && f.LogDest == dest {
+		// The remembered offset describes this destination; another
+		// destination is fetched from the top.
+		off, ino = f.LogOffset, f.LogIno
 	}
 	c.mu.Unlock()
+	if !ok {
+		c.printf("no filter '%s'\n", args[0])
+		return
+	}
 
-	req := &daemon.ProcReq{Type: daemon.TGetFileReq, UID: c.uid, Path: filter.LogPath(f.Name), Offset: off}
-	rep, err := c.exchange(f.Machine, req.Wire())
-	if err != nil {
-		c.printf("getlog: %v\n", err)
-		return
-	}
-	if !rep.OK() {
-		c.printf("getlog: %s\n", rep.Status)
-		return
-	}
-	total := rep.PID // daemon echoes the full file size here
-	data := []byte(rep.Data)
-	incremental := off > 0 && total == off+len(data) &&
-		rep.Aux == strconv.FormatUint(uint64(prefixCRC), 10)
-	if incremental {
-		if len(data) > 0 {
-			if err := c.machine.FS().Append(dest, c.uid, data); err != nil {
-				c.printf("getlog: %v\n", err)
-				return
-			}
-		}
-	} else {
-		// Full copy: either the first fetch, a prefix mismatch, or a
-		// daemon that did not understand the offset (total == 0). When
-		// the daemon honoured an offset we no longer trust, refetch the
-		// whole file.
-		if off > 0 && total > 0 && len(data) < total {
-			req.Offset = 0
-			rep, err = c.exchange(f.Machine, req.Wire())
-			if err != nil {
-				c.printf("getlog: %v\n", err)
-				return
-			}
-			if !rep.OK() {
-				c.printf("getlog: %s\n", rep.Status)
-				return
-			}
-			total = rep.PID
-			data = []byte(rep.Data)
-		}
-		if err := c.machine.FS().Create(dest, c.uid, fsys.PrivateMode, data); err != nil {
+	fs := c.machine.FS()
+	for restarts := 0; ; {
+		req := &daemon.ProcReq{Type: daemon.TGetFileReq, UID: c.uid, Path: filter.LogPath(f.Name), Offset: off}
+		rep, err := c.exchange(f.Machine, req.Wire())
+		if err != nil {
 			c.printf("getlog: %v\n", err)
 			return
 		}
-		off, prefixCRC = 0, 0
+		if !rep.OK() {
+			c.printf("getlog: %s\n", rep.Status)
+			return
+		}
+		total := rep.PID // the daemon echoes the log's size here
+		repIno, _ := strconv.ParseUint(rep.Aux, 10, 64)
+		data := rep.DataBytes()
+		if off > 0 && (repIno != ino || off+len(data) > total) {
+			// Not the log the destination holds a prefix of.
+			if restarts == maxGetLogRestarts {
+				c.printf("getlog: log replaced %d times during the fetch\n", restarts)
+				return
+			}
+			restarts++
+			off, ino = 0, 0
+			continue
+		}
+		if off == 0 {
+			err = fs.Create(dest, c.uid, fsys.PrivateMode, data)
+		} else if len(data) > 0 {
+			err = fs.Append(dest, c.uid, data)
+		}
+		if err != nil {
+			c.printf("getlog: %v\n", err)
+			return
+		}
+		off, ino = off+len(data), repIno
+		c.mu.Lock()
+		f.LogDest, f.LogOffset, f.LogIno = dest, off, ino
+		c.mu.Unlock()
+		if off >= total || len(data) == 0 {
+			return
+		}
 	}
-	c.mu.Lock()
-	f.LogDest = dest
-	if total >= off+len(data) && total > 0 {
-		f.LogOffset = off + len(data)
-		f.LogCRC = crc32.Update(prefixCRC, crc32.IEEETable, data)
-	} else {
-		// Legacy daemon (no size echo): do not track an offset; the next
-		// getlog is another full transfer.
-		f.LogOffset, f.LogCRC = 0, 0
-	}
-	c.mu.Unlock()
 }
 
 // cmdQuery runs selection rules against a filter's event store. The

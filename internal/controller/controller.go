@@ -25,13 +25,14 @@ type FilterInfo struct {
 	PID     int
 	Machine string
 	Port    uint16
-	// LogOffset, LogCRC and LogDest track incremental getlog state: how
-	// many bytes of the filter's log have already been fetched, the CRC
-	// of those bytes, and the destination file they went to. A repeat
-	// getlog to the same destination transfers only the bytes past
-	// LogOffset.
+	// LogOffset, LogIno and LogDest track incremental getlog state: how
+	// many bytes of the filter's log have already been fetched, the
+	// incarnation number of the log they came from, and the destination
+	// file they went to. A repeat getlog to the same destination
+	// transfers only the bytes past LogOffset, provided the log is
+	// still that incarnation.
 	LogOffset int
-	LogCRC    uint32
+	LogIno    uint64
 	LogDest   string
 }
 

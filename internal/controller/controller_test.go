@@ -42,7 +42,7 @@ func (w *syncWriter) String() string {
 // yellow on one network, meterdaemons everywhere, the standard filter
 // files installed, and the A/B example computation registered. The
 // controller runs on yellow, as in Figure 4.3.
-func newSystem(t *testing.T) (*kernel.Cluster, *Controller, *syncWriter) {
+func newSystem(t testing.TB) (*kernel.Cluster, *Controller, *syncWriter) {
 	t.Helper()
 	c := kernel.NewCluster(kernel.Config{})
 	c.AddNetwork("ether0")
@@ -73,7 +73,7 @@ func newSystem(t *testing.T) (*kernel.Cluster, *Controller, *syncWriter) {
 // registerAB installs the two-process computation of the Appendix B
 // session: B is a datagram server on a well-known port; A sends it a
 // message and waits for the echo.
-func registerAB(t *testing.T, c *kernel.Cluster) {
+func registerAB(t testing.TB, c *kernel.Cluster) {
 	t.Helper()
 	const portB = 6100
 	c.RegisterProgram("progB", func(p *kernel.Process) int {

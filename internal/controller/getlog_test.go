@@ -1,6 +1,9 @@
 package controller
 
 import (
+	"bytes"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -83,8 +86,8 @@ func TestGetLogIncremental(t *testing.T) {
 	}
 
 	// A same-length in-place rewrite (the counting filter does this
-	// every batch) must be detected by the prefix CRC and refetched
-	// whole, not spliced.
+	// every batch) must be detected by the log's new incarnation and
+	// refetched whole, not spliced.
 	rewritten := "LINE ONE\nLINE TWO\n" // same length as the old content
 	if err := blue.FS().Remove(log, testUID); err != nil {
 		t.Fatal(err)
@@ -121,6 +124,186 @@ func TestGetLogIncremental(t *testing.T) {
 	if f := logState(t, ctl, "f1"); f.LogDest != "/usr/elsewhere" {
 		t.Fatalf("LogDest = %q", f.LogDest)
 	}
+}
+
+// appendLog appends n bytes of numbered trace-like lines to a filter
+// log, numbering from first; every line differs, so a misplaced splice
+// cannot go unnoticed. It returns the next line number.
+func appendLog(t testing.TB, fs *fsys.FS, path string, first, n int) int {
+	t.Helper()
+	buf := make([]byte, 0, n+64)
+	for len(buf) < n {
+		buf = append(buf, "type=SEND machine=2 pid=311 sock=4 msgLength=64 seq="...)
+		buf = strconv.AppendInt(buf, int64(first), 10)
+		buf = append(buf, '\n')
+		first++
+	}
+	if err := fs.Append(path, testUID, buf[:n]); err != nil {
+		t.Fatal(err)
+	}
+	return first
+}
+
+// getlogSystem returns a controller with filter f1 on blue and blue's
+// file system, where the tests write f1's log directly.
+func getlogSystem(t testing.TB) (*Controller, *fsys.FS, *syncWriter) {
+	t.Helper()
+	c, ctl, out := newSystem(t)
+	ctl.Exec("filter f1 blue")
+	if !strings.Contains(out.String(), "created") {
+		t.Fatalf("filter not created: %s", out.String())
+	}
+	blue, err := c.Machine("blue")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ctl, blue.FS(), out
+}
+
+// checkFetched fails unless the controller's dest holds exactly the
+// filter's log.
+func checkFetched(t *testing.T, ctl *Controller, src *fsys.FS, dest string) {
+	t.Helper()
+	want, err := src.Read(filter.LogPath("f1"), testUID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ctl.machine.FS().Read(dest, testUID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s: %d bytes fetched, log has %d; first difference at %d", dest, len(got), len(want), firstDiff(got, want))
+	}
+	if f := logState(t, ctl, "f1"); f.LogOffset != len(want) || f.LogDest != dest {
+		t.Fatalf("getlog state = %d bytes into %s, want %d into %s", f.LogOffset, f.LogDest, len(want), dest)
+	}
+}
+
+func firstDiff(a, b []byte) int {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return min(len(a), len(b))
+}
+
+// TestGetLogPagesPastWireCap fetches a log larger than one wire
+// message: the full fetch and a later incremental one both arrive in
+// pages and must land byte-equal to the log.
+func TestGetLogPagesPastWireCap(t *testing.T) {
+	ctl, src, out := getlogSystem(t)
+	blue, err := ctl.cluster.Machine("blue")
+	if err != nil {
+		t.Fatal(err)
+	}
+	requests := blue.Obs().Counter("daemon.req.getfile")
+	log := filter.LogPath("f1")
+
+	next := appendLog(t, src, log, 0, 40<<20)
+	before := requests.Load()
+	ctl.Exec("getlog f1 big")
+	if strings.Contains(out.String(), "getlog:") {
+		t.Fatalf("full getlog failed: %s", out.String())
+	}
+	checkFetched(t, ctl, src, "/usr/big")
+	if n := requests.Load() - before; n != 3 {
+		t.Fatalf("a 40 MiB log took %d getfile requests, want 3 pages", n)
+	}
+
+	appendLog(t, src, log, next, 1<<20+17)
+	ctl.Exec("getlog f1 big")
+	if strings.Contains(out.String(), "getlog:") {
+		t.Fatalf("incremental getlog failed: %s", out.String())
+	}
+	checkFetched(t, ctl, src, "/usr/big")
+}
+
+// TestGetLogIncrementalAllocatesTail pins the cost of an incremental
+// getlog to the tail it moves: fetching 64 KiB of new bytes from a
+// 32 MiB log must allocate a small multiple of the tail, not of the
+// log.
+func TestGetLogIncrementalAllocatesTail(t *testing.T) {
+	ctl, src, out := getlogSystem(t)
+	log := filter.LogPath("f1")
+	next := appendLog(t, src, log, 0, 32<<20)
+	ctl.Exec("getlog f1 inc")
+	// The destination's first append after a full copy regrows it, as
+	// any append-only buffer does now and then; measure a later one.
+	next = appendLog(t, src, log, next, 64<<10)
+	ctl.Exec("getlog f1 inc")
+	appendLog(t, src, log, next, 64<<10)
+
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	ctl.Exec("getlog f1 inc")
+	runtime.ReadMemStats(&m1)
+	if strings.Contains(out.String(), "getlog:") {
+		t.Fatalf("getlog failed: %s", out.String())
+	}
+	checkFetched(t, ctl, src, "/usr/inc")
+	alloc := m1.TotalAlloc - m0.TotalAlloc
+	t.Logf("incremental getlog of a 64 KiB tail allocated %d bytes", alloc)
+	if alloc >= 4<<20 {
+		t.Fatalf("incremental getlog of a 64 KiB tail allocated %d bytes", alloc)
+	}
+}
+
+// BenchmarkGetLog measures getlog end to end — daemon read, reply
+// encoding, transport, controller decode, destination write — per
+// payload byte: a full fetch of a 4 MiB log, and an incremental fetch
+// of a 64 KiB tail.
+func BenchmarkGetLog(b *testing.B) {
+	const logSize, tail = 4 << 20, 64 << 10
+	b.Run("full", func(b *testing.B) {
+		ctl, src, _ := getlogSystem(b)
+		appendLog(b, src, filter.LogPath("f1"), 0, logSize)
+		// Alternating destinations make every fetch a full one.
+		dests := [2]string{"full-a", "full-b"}
+		benchGetLog(b, logSize, func(int) {}, func(i int) { ctl.Exec("getlog f1 " + dests[i%2]) })
+	})
+	b.Run("incremental", func(b *testing.B) {
+		ctl, src, _ := getlogSystem(b)
+		log := filter.LogPath("f1")
+		next := 0
+		prep := func(i int) {
+			if i%256 == 0 {
+				// Start a fresh log now and then, so the log and the
+				// destination stay small however large b.N grows.
+				_ = src.Remove(log, testUID) // absent on the first pass
+				next = appendLog(b, src, log, 0, 1<<20)
+				ctl.Exec("getlog f1 inc")
+			}
+			next = appendLog(b, src, log, next, tail)
+		}
+		benchGetLog(b, tail, prep, func(int) { ctl.Exec("getlog f1 inc") })
+	})
+}
+
+// benchGetLog times fetch b.N times, each after an untimed prep, and
+// reports time and allocation per payload byte.
+func benchGetLog(b *testing.B, payload int, prep, fetch func(i int)) {
+	b.ReportAllocs()
+	var m runtime.MemStats
+	var alloc uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		prep(i)
+		runtime.ReadMemStats(&m)
+		start := m.TotalAlloc
+		b.StartTimer()
+		fetch(i)
+		b.StopTimer()
+		runtime.ReadMemStats(&m)
+		alloc += m.TotalAlloc - start
+		b.StartTimer()
+	}
+	bytes := float64(b.N) * float64(payload)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/bytes, "ns/byte")
+	b.ReportMetric(float64(alloc)/bytes, "B/byte")
 }
 
 // storeEvent writes one synthetic event into a store with consistent

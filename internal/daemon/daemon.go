@@ -4,13 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
+	"unsafe"
 
 	"dpm/internal/agg"
 	"dpm/internal/kernel"
@@ -519,24 +519,23 @@ func (d *daemonState) handleList() *Reply {
 	return &Reply{Type: TListRep, Status: "ok", Data: b.String()}
 }
 
+// handleGetFile returns at most maxGetFileData bytes of a file from
+// the requested offset — an offset outside the file reads from the
+// top — copying only those bytes. The reply's PID carries the file's
+// total size and Aux its incarnation number, so the requester can
+// splice a tail onto what it holds only when the file is the one it
+// read before, and page through a file larger than one reply.
 func (d *daemonState) handleGetFile(req *ProcReq) *Reply {
-	data, err := d.p.Machine().FS().Read(req.Path, req.UID)
+	data, size, ino, err := d.p.Machine().FS().ReadFrom(req.Path, req.UID, req.Offset, maxGetFileData)
 	if err != nil {
 		return &Reply{Type: TGetFileRep, Status: err.Error()}
 	}
-	// Incremental retrieval: resume from the requested offset when it
-	// still lies within the file; a shrunken file resets to a full
-	// transfer. The reply's PID carries the file's total size and Aux
-	// the CRC of the skipped prefix, so the requester can verify the
-	// splice (and detect an in-place rewrite) before appending.
-	off := req.Offset
-	if off < 0 || off > len(data) {
-		off = 0
-	}
 	return &Reply{
-		Type: TGetFileRep, PID: len(data), Status: "ok",
-		Data: string(data[off:]),
-		Aux:  strconv.FormatUint(uint64(crc32.ChecksumIEEE(data[:off])), 10),
+		Type: TGetFileRep, PID: size, Status: "ok",
+		// data is a fresh copy nothing else holds: view it as the
+		// string field without copying it again.
+		Data: unsafe.String(unsafe.SliceData(data), len(data)),
+		Aux:  strconv.FormatUint(ino, 10),
 	}
 }
 
@@ -718,21 +717,22 @@ func readWire(p *kernel.Process, fd int) (*WireMsg, error) {
 	return readWireBuf(p, fd, nil)
 }
 
-// readWireBuf is readWire starting from already-buffered bytes.
+// readWireBuf is readWire starting from already-buffered bytes. The
+// message's fields share the read buffer, which nothing else holds.
 func readWireBuf(p *kernel.Process, fd int, buf []byte) (*WireMsg, error) {
 	for {
-		msg, _, err := DecodeWire(buf)
+		msg, _, err := decodeWire(buf, true)
 		if err == nil {
 			return msg, nil
 		}
 		if !errors.Is(err, ErrWireShort) {
 			return nil, err
 		}
-		data, rerr := p.Recv(fd, 8192)
+		data, rerr := p.Recv(fd, recvSize(buf, maxWireSize))
 		if rerr != nil {
 			return nil, rerr
 		}
-		buf = append(buf, data...)
+		buf = appendRecv(buf, data)
 	}
 }
 
@@ -785,7 +785,7 @@ func readWireTimeout(p *kernel.Process, fd int, timeout time.Duration) (*WireMsg
 	deadline := time.Now().Add(timeout)
 	var buf []byte
 	for {
-		msg, _, err := DecodeWire(buf)
+		msg, _, err := decodeWire(buf, true)
 		if err == nil {
 			return msg, nil
 		}
@@ -796,10 +796,10 @@ func readWireTimeout(p *kernel.Process, fd int, timeout time.Duration) (*WireMsg
 		if remaining <= 0 {
 			return nil, kernel.ErrTimedOut
 		}
-		data, _, rerr := p.RecvTimeout(fd, 8192, remaining)
+		data, _, rerr := p.RecvTimeout(fd, recvSize(buf, maxWireSize), remaining)
 		if rerr != nil {
 			return nil, rerr
 		}
-		buf = append(buf, data...)
+		buf = appendRecv(buf, data)
 	}
 }

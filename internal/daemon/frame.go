@@ -24,7 +24,10 @@ package daemon
 // compatibility); a hello payload may grow trailing data that old
 // peers ignore.
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"slices"
+)
 
 // Frame kinds.
 const (
@@ -68,10 +71,24 @@ type Frame struct {
 // AppendFrame appends one encoded frame to buf and returns the
 // extended slice.
 func AppendFrame(buf []byte, kind uint32, id uint64, payload []byte) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(frameHeader+len(payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, kind)
-	buf = binary.LittleEndian.AppendUint64(buf, id)
+	buf = appendFrameHeader(buf, kind, id, len(payload))
 	return append(buf, payload...)
+}
+
+// appendMsgFrame appends one frame carrying w's encoding, writing the
+// message straight into the frame in one allocation.
+func appendMsgFrame(buf []byte, kind uint32, id uint64, w *WireMsg) []byte {
+	size := w.size()
+	buf = slices.Grow(buf, frameHeader+size)
+	return w.appendTo(appendFrameHeader(buf, kind, id, size))
+}
+
+// appendFrameHeader appends the size, kind and id words of a frame
+// whose payload is payloadLen bytes.
+func appendFrameHeader(buf []byte, kind uint32, id uint64, payloadLen int) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(frameHeader+payloadLen))
+	buf = binary.LittleEndian.AppendUint32(buf, kind)
+	return binary.LittleEndian.AppendUint64(buf, id)
 }
 
 // ParseFrame decodes the first frame in buf, returning the frame and
@@ -80,6 +97,15 @@ func AppendFrame(buf []byte, kind uint32, id uint64, payload []byte) []byte {
 // ErrWireCorrupt when buf cannot begin a valid frame (tear down the
 // connection). The payload is copied, so the caller may reuse buf.
 func ParseFrame(buf []byte) (Frame, int, error) {
+	f, n, err := parseFrame(buf)
+	f.Payload = append([]byte(nil), f.Payload...)
+	return f, n, err
+}
+
+// parseFrame is ParseFrame with the payload sharing buf's memory: the
+// session read loops, whose buffers only ever grow at the end, parse
+// with it so a large reply is not copied again.
+func parseFrame(buf []byte) (Frame, int, error) {
 	if len(buf) < 4 {
 		return Frame{}, 0, ErrWireShort
 	}
@@ -93,7 +119,7 @@ func ParseFrame(buf []byte) (Frame, int, error) {
 	f := Frame{
 		Kind:    binary.LittleEndian.Uint32(buf[4:]),
 		ID:      binary.LittleEndian.Uint64(buf[8:]),
-		Payload: append([]byte(nil), buf[frameHeader:size]...),
+		Payload: buf[frameHeader:size:size],
 	}
 	return f, int(size), nil
 }

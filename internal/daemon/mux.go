@@ -22,13 +22,13 @@ func (d *daemonState) serveSession(conn int, buf []byte) {
 	defer handlers.Wait()
 	saidHello := false
 	for {
-		f, n, err := ParseFrame(buf)
+		f, n, err := parseFrame(buf)
 		if errors.Is(err, ErrWireShort) {
-			data, rerr := d.p.Recv(conn, 8192)
+			data, rerr := d.p.Recv(conn, recvSize(buf, frameHeader+maxFramePayload))
 			if rerr != nil {
 				return // EOF or peer gone: the session is over
 			}
-			buf = append(buf, data...)
+			buf = appendRecv(buf, data)
 			continue
 		}
 		if err != nil {
@@ -66,7 +66,7 @@ func (d *daemonState) serveSession(conn int, buf []byte) {
 				rep := d.handle(w)
 				// One Send per frame: kernel sends are atomic, so
 				// concurrent repliers cannot interleave frame bytes.
-				_, _ = d.p.Send(conn, AppendFrame(nil, FrameRep, id, rep.Wire().Encode()))
+				_, _ = d.p.Send(conn, appendMsgFrame(nil, FrameRep, id, rep.Wire()))
 			})
 		default:
 			// Unknown frame kinds are skipped for forward compatibility,

@@ -240,7 +240,6 @@ func (s *Session) Call(req *WireMsg, timeout time.Duration) (*Reply, error) {
 		timeout = DefaultRetryPolicy().ReplyTimeout
 	}
 	start := time.Now()
-	payload := req.Encode()
 
 	s.mu.Lock()
 	switch {
@@ -253,7 +252,7 @@ func (s *Session) Call(req *WireMsg, timeout time.Duration) (*Reply, error) {
 	}
 	s.nextID++
 	id := s.nextID
-	c := &call{frame: AppendFrame(nil, FrameReq, id, payload), done: make(chan callResult, 1)}
+	c := &call{frame: appendMsgFrame(nil, FrameReq, id, req), done: make(chan callResult, 1)}
 	s.inflight[id] = c
 	s.inflightHW.SetMax(int64(len(s.inflight)))
 	fd := -1
@@ -427,7 +426,7 @@ func (s *Session) dialSession() (int, []byte, error) {
 			sawMagic = true
 		}
 		if sawMagic {
-			f, n, perr := ParseFrame(buf)
+			f, n, perr := parseFrame(buf)
 			if perr == nil {
 				if f.Kind != FrameHello || !helloOK(f.Payload) {
 					return fail(errLegacyPeer)
@@ -442,7 +441,7 @@ func (s *Session) dialSession() (int, []byte, error) {
 		if remaining <= 0 {
 			return fail(kernel.ErrTimedOut)
 		}
-		data, _, rerr := s.p.RecvTimeout(fd, 8192, remaining)
+		data, _, rerr := s.p.RecvTimeout(fd, recvPiece, remaining)
 		if rerr != nil {
 			if errors.Is(rerr, io.EOF) {
 				// A legacy daemon reads our magic as an over-size legacy
@@ -451,7 +450,7 @@ func (s *Session) dialSession() (int, []byte, error) {
 			}
 			return fail(rerr)
 		}
-		buf = append(buf, data...)
+		buf = appendRecv(buf, data)
 	}
 }
 
@@ -504,6 +503,9 @@ func (s *Session) detach(fd int) {
 // calls and runs the heartbeat — after HeartbeatInterval of silence a
 // ping goes out, and a pong missing for HeartbeatTimeout kills the
 // connection from our side (the peer is wedged or the path is gone).
+// Once a frame's size word is in, the rest of the frame is read in one
+// Recv. buf only ever grows at its end, so delivered replies may share
+// its memory.
 func (s *Session) readLoop(fd int, buf []byte) error {
 	idle := time.Now()
 	var pingID uint64
@@ -511,7 +513,7 @@ func (s *Session) readLoop(fd int, buf []byte) error {
 	pingOut := false
 	for {
 		for {
-			f, n, err := ParseFrame(buf)
+			f, n, err := parseFrame(buf)
 			if errors.Is(err, ErrWireShort) {
 				break
 			}
@@ -553,20 +555,21 @@ func (s *Session) readLoop(fd int, buf []byte) error {
 		} else {
 			wait = next.Sub(now)
 		}
-		data, _, err := s.p.RecvTimeout(fd, 8192, wait)
+		data, _, err := s.p.RecvTimeout(fd, recvSize(buf, frameHeader+maxFramePayload), wait)
 		if err != nil {
 			if errors.Is(err, kernel.ErrTimedOut) {
 				continue // just the heartbeat timer firing
 			}
 			return err
 		}
-		buf = append(buf, data...)
+		buf = appendRecv(buf, data)
 	}
 }
 
 // deliver resolves a reply frame against the in-flight table. Replies
 // with no matching call — a duplicate after re-issue, or one whose
-// caller gave up — are dropped.
+// caller gave up — are dropped. The reply's fields share the frame's
+// memory, which readLoop never overwrites.
 func (s *Session) deliver(f Frame) {
 	s.mu.Lock()
 	c := s.inflight[f.ID]
@@ -575,7 +578,7 @@ func (s *Session) deliver(f Frame) {
 	if c == nil {
 		return
 	}
-	w, _, err := DecodeWire(f.Payload)
+	w, _, err := decodeWire(f.Payload, true)
 	if err != nil {
 		c.done <- callResult{err: err}
 		return

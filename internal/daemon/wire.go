@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"unsafe"
 )
 
 // MsgType identifies a controller/daemon message. The numbering is
@@ -132,20 +133,34 @@ var (
 	ErrWireCorrupt = errors.New("daemon: corrupt wire message")
 )
 
-// maxWireSize bounds one message (a getlog reply carries a whole trace
-// file).
+// maxWireSize bounds one message. A getlog reply carries at most
+// maxGetFileData of a trace file; a larger file is fetched in pages.
 const maxWireSize = 16 << 20
+
+// maxGetFileData bounds the file data in one getfile reply, leaving
+// room within maxWireSize for the reply's other fields (size, status,
+// incarnation: a few dozen bytes).
+const maxGetFileData = maxWireSize - 1<<10
 
 // Encode serializes the message: total size, type, field count, then
 // length-prefixed fields.
 func (w *WireMsg) Encode() []byte {
+	return w.appendTo(make([]byte, 0, w.size()))
+}
+
+// size is the length of the message's encoding.
+func (w *WireMsg) size() int {
 	size := 12
 	for _, f := range w.Fields {
 		size += 4 + len(f)
 	}
-	b := make([]byte, 0, size)
+	return size
+}
+
+// appendTo appends the message's encoding to b.
+func (w *WireMsg) appendTo(b []byte) []byte {
 	le := binary.LittleEndian
-	b = le.AppendUint32(b, uint32(size))
+	b = le.AppendUint32(b, uint32(w.size()))
 	b = le.AppendUint32(b, uint32(w.Type))
 	b = le.AppendUint32(b, uint32(len(w.Fields)))
 	for _, f := range w.Fields {
@@ -156,8 +171,18 @@ func (w *WireMsg) Encode() []byte {
 }
 
 // DecodeWire parses one message from the front of buf, returning the
-// bytes consumed. ErrWireShort means more bytes are needed.
+// bytes consumed. ErrWireShort means more bytes are needed. The fields
+// are copied out of buf (in one allocation), so the caller may reuse
+// buf.
 func DecodeWire(buf []byte) (*WireMsg, int, error) {
+	return decodeWire(buf, false)
+}
+
+// decodeWire is DecodeWire; with alias set the fields share buf's
+// memory instead of copying it, so the caller must never modify
+// buf[:n] afterwards — true of a read buffer that only ever grows at
+// its end and of one handed over whole.
+func decodeWire(buf []byte, alias bool) (*WireMsg, int, error) {
 	le := binary.LittleEndian
 	if len(buf) < 12 {
 		return nil, 0, ErrWireShort
@@ -174,6 +199,12 @@ func DecodeWire(buf []byte) (*WireMsg, int, error) {
 	if count < 0 || count > 1<<16 {
 		return nil, 0, fmt.Errorf("%w: field count %d", ErrWireCorrupt, count)
 	}
+	var s string
+	if alias {
+		s = unsafe.String(&buf[0], size)
+	} else {
+		s = string(buf[:size])
+	}
 	off := 12
 	for i := 0; i < count; i++ {
 		if off+4 > size {
@@ -181,16 +212,47 @@ func DecodeWire(buf []byte) (*WireMsg, int, error) {
 		}
 		flen := int(le.Uint32(buf[off : off+4]))
 		off += 4
-		if flen < 0 || off+flen > size {
+		if flen < 0 || flen > size-off {
 			return nil, 0, fmt.Errorf("%w: field %d overruns message", ErrWireCorrupt, i)
 		}
-		w.Fields = append(w.Fields, string(buf[off:off+flen]))
+		w.Fields = append(w.Fields, s[off:off+flen])
 		off += flen
 	}
 	if off != size {
 		return nil, 0, fmt.Errorf("%w: %d trailing bytes", ErrWireCorrupt, size-off)
 	}
 	return w, size, nil
+}
+
+// recvPiece is the read size when no message length is known yet.
+const recvPiece = 8192
+
+// recvSize is how much the next Recv should ask for when buf holds the
+// start of a message that opens with its uint32 total size (a wire
+// message or a session frame): the rest of that message in one read
+// once the size is known and at most limit — a peer's number alone
+// never sizes a read — and otherwise one recvPiece. A Recv allocates
+// only what has arrived, so a large request costs nothing until the
+// bytes exist.
+func recvSize(buf []byte, limit int) int {
+	if len(buf) < 4 {
+		return recvPiece
+	}
+	size := int(binary.LittleEndian.Uint32(buf))
+	if size > limit || size-len(buf) <= recvPiece {
+		return recvPiece
+	}
+	return size - len(buf)
+}
+
+// appendRecv adds freshly received bytes to a read buffer. An empty
+// buffer adopts them instead of copying: Recv returns memory the
+// caller owns.
+func appendRecv(buf, data []byte) []byte {
+	if len(buf) == 0 {
+		return data
+	}
+	return append(buf, data...)
 }
 
 // field accessors with bounds checking.
@@ -282,14 +344,21 @@ type Reply struct {
 	Status string // "ok" or an error description
 	Data   string // getfile contents
 	// Aux carries reply-type-specific extra data as a trailing wire
-	// field old parsers ignore. An incremental getfile reply uses it
-	// for the CRC of the file prefix the requested offset skipped, so
-	// the requester can detect an in-place rewrite.
+	// field. A getfile reply carries the file's incarnation number
+	// (fsys.File.Ino), so the requester can tell an append from a
+	// rewrite before splicing a tail onto what it already holds.
 	Aux string
 }
 
 // OK reports whether the reply indicates success.
 func (r *Reply) OK() bool { return r.Status == "ok" }
+
+// DataBytes returns Data as a byte slice sharing its memory, so a
+// large getfile payload reaches its destination without another copy.
+// The caller must not modify the slice.
+func (r *Reply) DataBytes() []byte {
+	return unsafe.Slice(unsafe.StringData(r.Data), len(r.Data))
+}
 
 // Wire encodes the reply.
 func (r *Reply) Wire() *WireMsg {

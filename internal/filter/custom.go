@@ -4,6 +4,7 @@ import (
 	"sort"
 	"strconv"
 
+	"dpm/internal/fsys"
 	"dpm/internal/kernel"
 	"dpm/internal/meter"
 )
@@ -20,7 +21,7 @@ import (
 // CountingMain is a custom filter that reduces the trace to per-event
 // per-machine counts instead of storing records — the kind of cheap
 // summarizing filter the user would write when only aggregate behavior
-// matters. args: name, port. It rewrites its whole log on each batch
+// matters. args: name, port. It replaces its whole log on each batch
 // so the user can getlog at any time.
 func CountingMain(p *kernel.Process) int {
 	args := p.Args()
@@ -77,11 +78,11 @@ func CountingMain(p *kernel.Process) int {
 			out = strconv.AppendInt(out, int64(counts[k]), 10)
 			out = append(out, '\n')
 		}
-		fs := p.Machine().FS()
-		if fs.Exists(logPath) {
-			_ = fs.Remove(logPath, p.UID())
-		}
-		_ = p.AppendFile(logPath, out)
+		// One atomic replace: a concurrent getlog sees the old counts or
+		// the new ones, never a missing or empty log, and the fresh
+		// incarnation tells it to fetch the log from the top. A failed
+		// replace leaves the previous counts for the next batch to fix.
+		_ = p.Machine().FS().Create(logPath, p.UID(), fsys.PrivateMode, out)
 	}
 
 	for {

@@ -70,10 +70,14 @@ func TestCountingFilterEndToEnd(t *testing.T) {
 		}
 	}
 
+	// The third send is metered before the third receive, so a rewrite
+	// can hold SEND n=3 while RECEIVE n=3 is still in flight: wait for
+	// both counts (or the deadline) before judging the log.
 	deadline = time.Now().Add(2 * time.Second)
 	for {
 		data, err := red.FS().Read(LogPath("fc"), 0)
-		if err == nil && strings.Contains(string(data), "event=SEND n=3") {
+		if err == nil && strings.Contains(string(data), "event=SEND n=3") &&
+			(strings.Contains(string(data), "event=RECEIVE n=3") || time.Now().After(deadline)) {
 			if !strings.Contains(string(data), "event=RECEIVE n=3") {
 				t.Fatalf("log = %s", data)
 			}

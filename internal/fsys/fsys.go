@@ -67,13 +67,22 @@ type File struct {
 	// the file (rcp) carries the program name along, which is how an
 	// executable becomes runnable on a remote machine.
 	Program string
+	// Ino is the file's incarnation number, unique within its FS:
+	// Create (and Append to a missing path) assigns a fresh one, while
+	// Append to an existing file keeps it. Bytes read from an
+	// incarnation never change, so a reader that remembers (Ino,
+	// offset) can fetch only what was appended since — and a replace
+	// or remove-and-recreate, however long the new contents, shows up
+	// as a different Ino.
+	Ino uint64
 }
 
 // FS is the file system of one simulated machine. The zero value is
 // not usable; call New.
 type FS struct {
-	mu    sync.Mutex
-	files map[string]*File
+	mu      sync.Mutex
+	files   map[string]*File
+	lastIno uint64
 }
 
 // New returns an empty file system.
@@ -119,8 +128,14 @@ func (fs *FS) Create(path string, uid int, mode Mode, data []byte) error {
 	if old, ok := fs.files[path]; ok && !old.Mode.writableBy(uid, old.Owner) {
 		return fmt.Errorf("%w: %s", ErrPerm, path)
 	}
-	fs.files[path] = &File{Path: path, Owner: uid, Mode: mode, Data: append([]byte(nil), data...)}
+	fs.files[path] = &File{Path: path, Owner: uid, Mode: mode, Data: append([]byte(nil), data...), Ino: fs.nextIno()}
 	return nil
+}
+
+// nextIno returns a fresh incarnation number. The caller holds fs.mu.
+func (fs *FS) nextIno() uint64 {
+	fs.lastIno++
+	return fs.lastIno
 }
 
 // CreateExecutable creates an executable file bound to the named
@@ -134,7 +149,7 @@ func (fs *FS) CreateExecutable(path string, uid int, program string) error {
 	if old, ok := fs.files[path]; ok && !old.Mode.writableBy(uid, old.Owner) {
 		return fmt.Errorf("%w: %s", ErrPerm, path)
 	}
-	fs.files[path] = &File{Path: path, Owner: uid, Mode: DefaultMode, Program: program}
+	fs.files[path] = &File{Path: path, Owner: uid, Mode: DefaultMode, Program: program, Ino: fs.nextIno()}
 	return nil
 }
 
@@ -153,6 +168,32 @@ func (fs *FS) Read(path string, uid int) ([]byte, error) {
 	return append([]byte(nil), f.Data...), nil
 }
 
+// ReadFrom returns a copy of at most max bytes of the file's contents
+// starting at off, with the file's size and incarnation number, after
+// checking read permission for uid. Only the returned range is copied,
+// so reading the tail of a large file costs the tail. An offset outside
+// the file reads from 0; a max <= 0 means no limit.
+func (fs *FS) ReadFrom(path string, uid, off, max int) (data []byte, size int, ino uint64, err error) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	f, ok := fs.files[path]
+	if !ok {
+		return nil, 0, 0, fmt.Errorf("%w: %s", ErrNotExist, path)
+	}
+	if !f.Mode.readableBy(uid, f.Owner) {
+		return nil, 0, 0, fmt.Errorf("%w: %s", ErrPerm, path)
+	}
+	size = len(f.Data)
+	if off < 0 || off > size {
+		off = 0
+	}
+	end := size
+	if max > 0 && max < end-off {
+		end = off + max
+	}
+	return append([]byte(nil), f.Data[off:end]...), size, f.Ino, nil
+}
+
 // Append appends data to an existing file, checking write permission.
 // If the file does not exist it is created owned by uid with
 // PrivateMode, matching how filter log files appear under /usr/tmp.
@@ -164,7 +205,7 @@ func (fs *FS) Append(path string, uid int, data []byte) error {
 	defer fs.mu.Unlock()
 	f, ok := fs.files[path]
 	if !ok {
-		fs.files[path] = &File{Path: path, Owner: uid, Mode: PrivateMode, Data: append([]byte(nil), data...)}
+		fs.files[path] = &File{Path: path, Owner: uid, Mode: PrivateMode, Data: append([]byte(nil), data...), Ino: fs.nextIno()}
 		return nil
 	}
 	if !f.Mode.writableBy(uid, f.Owner) {

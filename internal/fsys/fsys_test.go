@@ -268,3 +268,171 @@ func TestAppendOrderPreserved(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// ino returns the incarnation number of the file at path.
+func ino(t *testing.T, fs *FS, path string) uint64 {
+	t.Helper()
+	f, err := fs.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f.Ino
+}
+
+func TestInoIncarnations(t *testing.T) {
+	fs := New()
+	if err := fs.Append("/log", alice, []byte("a")); err != nil {
+		t.Fatal(err)
+	}
+	first := ino(t, fs, "/log")
+	if first == 0 {
+		t.Fatal("a new file has incarnation 0")
+	}
+	if err := fs.Append("/log", alice, []byte("b")); err != nil {
+		t.Fatal(err)
+	}
+	if got := ino(t, fs, "/log"); got != first {
+		t.Fatalf("Append changed the incarnation: %d -> %d", first, got)
+	}
+
+	// A replace by Create, even with the same contents, is a new
+	// incarnation.
+	if err := fs.Create("/log", alice, PrivateMode, []byte("ab")); err != nil {
+		t.Fatal(err)
+	}
+	created := ino(t, fs, "/log")
+	if created == first {
+		t.Fatal("Create kept the incarnation")
+	}
+
+	// So is Remove followed by Append.
+	if err := fs.Remove("/log", alice); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Append("/log", alice, []byte("ab")); err != nil {
+		t.Fatal(err)
+	}
+	if got := ino(t, fs, "/log"); got == created || got == first {
+		t.Fatalf("Remove+Append reused incarnation %d", got)
+	}
+
+	// Incarnations are per file: another path gets its own.
+	if err := fs.Create("/other", alice, DefaultMode, nil); err != nil {
+		t.Fatal(err)
+	}
+	if ino(t, fs, "/other") == ino(t, fs, "/log") {
+		t.Fatal("two files share an incarnation")
+	}
+}
+
+func TestReadFrom(t *testing.T) {
+	fs := New()
+	if err := fs.Create("/f", alice, PrivateMode, []byte("0123456789")); err != nil {
+		t.Fatal(err)
+	}
+	want := ino(t, fs, "/f")
+	cases := []struct {
+		off, max int
+		data     string
+	}{
+		{0, 0, "0123456789"},
+		{4, 0, "456789"},
+		{4, 3, "456"},
+		{8, 5, "89"},
+		{10, 0, ""},
+		{0, 4, "0123"},
+		// An offset outside the file reads from the top.
+		{11, 0, "0123456789"},
+		{-1, 0, "0123456789"},
+		{99, 2, "01"},
+	}
+	for _, c := range cases {
+		data, size, gotIno, err := fs.ReadFrom("/f", alice, c.off, c.max)
+		if err != nil {
+			t.Fatalf("ReadFrom(%d, %d): %v", c.off, c.max, err)
+		}
+		if string(data) != c.data || size != 10 || gotIno != want {
+			t.Errorf("ReadFrom(%d, %d) = %q, %d, %d; want %q, 10, %d", c.off, c.max, data, size, gotIno, c.data, want)
+		}
+	}
+
+	// The result is a copy: scribbling on it leaves the file alone.
+	data, _, _, err := fs.ReadFrom("/f", alice, 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[0] = 'X'
+	if got, _ := fs.Read("/f", alice); string(got) != "0123456789" {
+		t.Fatalf("ReadFrom result aliases the file: %q", got)
+	}
+}
+
+func TestReadFromPermissions(t *testing.T) {
+	fs := New()
+	if err := fs.Create("/priv", alice, PrivateMode, []byte("secret")); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := fs.ReadFrom("/priv", bob, 0, 0); !errors.Is(err, ErrPerm) {
+		t.Fatalf("other user: err = %v, want ErrPerm", err)
+	}
+	if data, _, _, err := fs.ReadFrom("/priv", Superuser, 3, 0); err != nil || string(data) != "ret" {
+		t.Fatalf("superuser: %q, %v", data, err)
+	}
+	if _, _, _, err := fs.ReadFrom("/missing", alice, 0, 0); !errors.Is(err, ErrNotExist) {
+		t.Fatalf("missing file: err = %v, want ErrNotExist", err)
+	}
+}
+
+// TestReadFromConcurrentAppend tails a file while another goroutine
+// appends to it: every read must see a prefix-consistent view of the
+// same incarnation. Run it under -race.
+func TestReadFromConcurrentAppend(t *testing.T) {
+	fs := New()
+	if err := fs.Append("/log", alice, []byte("0")); err != nil {
+		t.Fatal(err)
+	}
+	want := ino(t, fs, "/log")
+	const appends = 2000
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 1; i <= appends; i++ {
+			if err := fs.Append("/log", alice, []byte{byte('0' + i%10)}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	var got []byte
+	for {
+		finished := false
+		select {
+		case <-done:
+			finished = true
+		default:
+		}
+		data, size, gotIno, err := fs.ReadFrom("/log", alice, len(got), 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotIno != want {
+			t.Fatalf("incarnation changed under Append: %d -> %d", want, gotIno)
+		}
+		if len(got)+len(data) > size {
+			t.Fatalf("read past the size: %d+%d > %d", len(got), len(data), size)
+		}
+		got = append(got, data...)
+		if len(got) == appends+1 {
+			break
+		}
+		if len(data) == 0 && finished {
+			t.Fatalf("appender stopped at %d bytes", len(got))
+		}
+	}
+	<-done
+	for i, b := range got {
+		if b != byte('0'+i%10) {
+			t.Fatalf("byte %d = %q, want %q", i, b, '0'+i%10)
+		}
+	}
+}

@@ -164,6 +164,45 @@ func TestStreamPartialRead(t *testing.T) {
 	}
 }
 
+// TestStreamLargeReadHandsOverBuffer covers the receive path that
+// takes a drained receive buffer over instead of copying it: what a
+// reader got must not change when more bytes arrive, whether the next
+// read drains the buffer or stops inside it.
+func TestStreamLargeReadHandsOverBuffer(t *testing.T) {
+	_, red, _ := newTestCluster(t)
+	p := detached(t, red)
+	lfd, lname := listenStream(t, p, 3000)
+	cfd, _ := p.Socket(meter.AFInet, SockStream)
+	if err := p.Connect(cfd, lname); err != nil {
+		t.Fatal(err)
+	}
+	afd, _, _ := p.Accept(lfd)
+	big := func(b byte) []byte { return bytes.Repeat([]byte{b}, recvHandoff+100) }
+	if _, err := p.Send(cfd, big('a')); err != nil {
+		t.Fatal(err)
+	}
+	first, err := p.Recv(afd, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range [][]byte{big('b'), []byte("tail")} {
+		if _, err := p.Send(cfd, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	second, err := p.Recv(afd, recvHandoff+100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	third, err := p.Recv(afd, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first, big('a')) || !bytes.Equal(second, big('b')) || string(third) != "tail" {
+		t.Fatalf("reads = %d bytes %q..., %d bytes %q..., %q", len(first), first[:1], len(second), second[:1], third)
+	}
+}
+
 func TestStreamEOFAfterPeerClose(t *testing.T) {
 	_, red, _ := newTestCluster(t)
 	p := detached(t, red)

@@ -490,6 +490,13 @@ func (p *Process) RecvTimeout(fd, max int, d time.Duration) ([]byte, meter.Name,
 	return p.recvFrom(fd, max, t.C, false)
 }
 
+// recvHandoff is the smallest stream read that takes the socket's
+// receive buffer over instead of copying it, when the read drains the
+// buffer: a multi-megabyte control-plane reply then crosses a socket
+// with one copy, not two, while the small reads of meter streams keep
+// copying into right-sized slices.
+const recvHandoff = 64 << 10
+
 func (p *Process) recvFrom(fd, max int, timeout <-chan time.Time, nonblock bool) ([]byte, meter.Name, error) {
 	if err := p.enter(); err != nil {
 		return nil, meter.Name{}, err
@@ -549,8 +556,16 @@ func (p *Process) recvFrom(fd, max int, timeout <-chan time.Time, nonblock bool)
 				if n > max {
 					n = max
 				}
-				data := append([]byte(nil), s.recvBuf[:n]...)
-				s.recvBuf = s.recvBuf[n:]
+				var data []byte
+				if n == len(s.recvBuf) && n >= recvHandoff {
+					// Hand a large drained buffer over instead of
+					// copying it; the next delivery starts a new one.
+					data = s.recvBuf[:n:n]
+					s.recvBuf = nil
+				} else {
+					data = append([]byte(nil), s.recvBuf[:n]...)
+					s.recvBuf = s.recvBuf[n:]
+				}
 				s.releaseLocked(n)
 				s.mu.Unlock()
 				// Like the send side, a read on a connection carries no
